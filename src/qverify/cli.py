@@ -3,7 +3,8 @@
 Exit codes of `qverify verify`: 0 when no flaw was found, 1 when a verified
 witness reaches the error condition, 2 on usage or internal errors, and 3
 when the model checker is needed but unavailable — distinct so CI can skip
-instead of failing a build on a missing toolchain.
+instead of failing a build on a missing toolchain.  Any exception that is not
+a verdict exits 2 with a one-line message, never 1.
 """
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from .checker import CheckerConfig, CheckerError, CheckerUnavailableError, checker_flag_table, run_model_checker
-from .cnf import CnfError, CnfFormula, parse_dimacs
-from .oracle import DEFAULT_BUDGET, BudgetExceededError
+from .checker import CheckerConfig, CheckerUnavailableError, checker_flag_table, run_model_checker
+from .cnf import CnfFormula, parse_dimacs
+from .oracle import DEFAULT_BUDGET
 from .optimizers import KINDS, OptimizerSpec
 from .pipeline import SOLVERS, build_problem, dump_json, report_dict, solve, write_text_atomic
 from .solvers import Sat
@@ -32,6 +33,18 @@ EXIT_NO_FLAW = 0
 EXIT_FLAW = 1
 EXIT_ERROR = 2
 EXIT_CHECKER_MISSING = 3
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high]; usage error (exit 2) otherwise."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bounds = f"in {low}..{high}" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    parse.__name__ = "integer"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,15 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--unwind", type=int, default=1, help="loop unwinding bound")
     verify.add_argument("--solver", choices=SOLVERS, default="brute")
     verify.add_argument("--optimizer", choices=KINDS, default="trust-region")
-    verify.add_argument("--layers", type=int, default=None,
+    verify.add_argument("--layers", type=_int_in(1), default=None,
                         help="circuit depth for qaoa/vqe")
     verify.add_argument("--degree", type=int, default=None,
                         help="filter half-degree for qsvt (default: automatic)")
     verify.add_argument("--shots", type=int, default=2048)
     verify.add_argument("--max-iterations", type=int, default=200)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET,
-                        help="exhaustive-enumeration cap, in variables")
+    verify.add_argument("--oracle-budget", type=_int_in(0, DEFAULT_BUDGET),
+                        default=DEFAULT_BUDGET,
+                        help=f"exhaustive-enumeration cap, in variables (0..{DEFAULT_BUDGET})")
     verify.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     verify.add_argument("--trace-file", type=Path, default=None,
                         help="write the raw convergence trace as CSV")
@@ -161,8 +175,9 @@ def main(argv=None) -> int:
     except CheckerUnavailableError as exc:
         print(f"qverify: {exc}", file=sys.stderr)
         return EXIT_CHECKER_MISSING
-    except (CheckerError, CnfError, BudgetExceededError, ValueError, OSError) as exc:
-        print(f"qverify: {exc}", file=sys.stderr)
+    except Exception as exc:  # bad input or internal error: never exit 1
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"qverify: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

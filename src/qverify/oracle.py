@@ -52,21 +52,39 @@ class SpectrumSummary:
     value_histogram: dict[int, int]
 
 
+def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values ascending, their counts).
+
+    Reduced objectives are small non-negative integers, so a bincount is
+    enough; anything else (a hand-built QUBO) falls back to sorting.
+    """
+    if values.min() >= 0 and values.max() < values.size:
+        counts = np.bincount(values)
+        keys = np.flatnonzero(counts)
+        return keys, counts[keys]
+    return np.unique(values, return_counts=True)
+
+
 def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET) -> SpectrumSummary:
     _check_budget(qubo.num_vars, budget, "spectrum enumeration")
     for v in qubo.variable_map[: qubo.num_original]:
         if not isinstance(v, Original):
             raise ValueError("original variables must form the index prefix")
     values = qubo.objective_table()
-    uniq, counts = np.unique(values, return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(uniq, counts)}
-    min_value = int(uniq[0])
-    max_value = int(uniq[-1])
-    proj_mask = (1 << qubo.num_original) - 1
-    satisfying = sorted({int(a) & proj_mask for a in np.nonzero(values == 0)[0]})
+    keys, counts = _histogram(values)
+    histogram = {int(v): int(c) for v, c in zip(keys, counts)}
+    min_value = int(keys[0])
+    max_value = int(keys[-1])
+    satisfying: list[int] = []
+    if min_value == 0:
+        zeros = np.flatnonzero(values == 0)
+        zeros &= (1 << qubo.num_original) - 1
+        projected = np.zeros(1 << qubo.num_original, dtype=bool)
+        projected[zeros] = True
+        satisfying = np.flatnonzero(projected).tolist()
     return SpectrumSummary(
         min_value=min_value,
-        min_count=int(counts[0]),
+        min_count=histogram[min_value],
         max_value=max_value,
         satisfying_set=tuple(satisfying),
         value_histogram=histogram,

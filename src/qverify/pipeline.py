@@ -79,10 +79,12 @@ def solve(problem: Problem, solver: str, *, optimizer=None, layers: int | None =
     if solver == "brute":
         return _solve_brute(problem, seed)
     if solver == "qaoa":
-        return solve_qaoa(problem.ising, problem.formula, layers=layers or 3,
+        return solve_qaoa(problem.ising, problem.formula,
+                          layers=3 if layers is None else layers,
                           optimizer=optimizer, shots=shots, seed=seed)
     if solver == "vqe":
-        return solve_vqe(problem.ising, problem.formula, layers=layers or 2,
+        return solve_vqe(problem.ising, problem.formula,
+                         layers=2 if layers is None else layers,
                          optimizer=optimizer, shots=shots, seed=seed)
     if solver == "grover":
         return solve_grover(problem.formula, shots=shots, seed=seed)

@@ -16,7 +16,7 @@ from math import lcm
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, Literal
+from .cnf import MAX_MASK_VARIABLES, Clause, CnfFormula, Literal
 
 # polynomial terms: {} -> constant, {i} -> linear, {i, j} -> quadratic
 QuadPoly = dict[tuple[int, ...], int]
@@ -105,6 +105,32 @@ def eval_poly(poly: QuadPoly, assignment: int) -> int:
     return total
 
 
+def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
+    """x^T q x + offset for all 2^n binary x (int64), assignment index order.
+
+    Built by doubling: for x < 2^k, setting bit k adds
+    row_k[x] = U_kk + sum_{j<k} U_jk x_j, where U folds q onto its upper
+    triangle, and row_k is doubled up from U_kk one lower bit at a time.
+    O(2^n) time; the table plus one half-size scratch row.
+    """
+    n = q.shape[0]
+    if n > MAX_MASK_VARIABLES:
+        raise ValueError(f"table over {n} variables exceeds the "
+                         f"{MAX_MASK_VARIABLES}-variable cap")
+    upper = np.triu(q) + np.tril(q, -1).T
+    out = np.empty(1 << n, dtype=np.int64)
+    out[0] = offset
+    scratch = np.empty(out.size >> 1, dtype=np.int64)
+    for k in range(n):
+        half = 1 << k
+        row = scratch[:half]
+        row[0] = upper[k, k]
+        for j in range(k):
+            np.add(row[:1 << j], upper[j, k], out=row[1 << j:2 << j])
+        np.add(out[:half], row, out=out[half:2 * half])
+    return out
+
+
 @dataclass
 class Qubo:
     """x^T Q x + c over binary x; coefficients stored upper-triangular.
@@ -142,19 +168,9 @@ class Qubo:
             q[i, j] += coeff
         return q
 
-    def objective_table(self, chunk: int = 1 << 16) -> np.ndarray:
+    def objective_table(self) -> np.ndarray:
         """Objective for all 2^n assignments (int64), assignment index order."""
-        n = self.num_vars
-        q = self.dense()
-        size = 1 << n
-        out = np.empty(size, dtype=np.int64)
-        shifts = np.arange(n, dtype=np.int64)
-        for start in range(0, size, chunk):
-            stop = min(start + chunk, size)
-            idx = np.arange(start, stop, dtype=np.int64)
-            bits = (idx[:, None] >> shifts) & 1
-            out[start:stop] = ((bits @ q) * bits).sum(axis=1) + self.offset
-        return out
+        return _quadratic_table(self.dense(), self.offset)
 
     def to_json_dict(self) -> dict:
         entries = [[i, j, c] for (i, j), c in sorted(self.coeffs.items())]
@@ -294,20 +310,15 @@ class IsingModel:
             j[a, b] = int(f * scale)
         return h, j, int(self.offset * scale), scale
 
-    def energy_table(self, chunk: int = 1 << 16) -> np.ndarray:
-        """Energy for all 2^n assignments (float64), assignment index order."""
+    def energy_table(self) -> np.ndarray:
+        """Energy for all 2^n assignments (float64), assignment index order.
+
+        The scaled spin form is rewritten in the x basis (z = 1 - 2x), so the
+        table is built in exact integers and divided by the scale once.
+        """
         h, j, off, scale = self.scaled_integer_form()
-        n = self.n
-        size = 1 << n
-        out = np.empty(size, dtype=np.float64)
-        shifts = np.arange(n, dtype=np.int64)
-        for start in range(0, size, chunk):
-            stop = min(start + chunk, size)
-            idx = np.arange(start, stop, dtype=np.int64)
-            z = 1 - 2 * ((idx[:, None] >> shifts) & 1)
-            scaled = ((z @ j) * z).sum(axis=1) + z @ h + off
-            out[start:stop] = scaled / scale
-        return out
+        q = 4 * j - 2 * np.diag(h + j.sum(axis=0) + j.sum(axis=1))
+        return _quadratic_table(q, off + int(h.sum()) + int(j.sum())) / scale
 
 
 def qubo_to_ising(qubo: Qubo) -> IsingModel:

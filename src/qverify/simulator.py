@@ -124,22 +124,32 @@ def apply_ansatz(state: Statevector, layers: int, params: np.ndarray) -> Stateve
     return Statevector(n, amps)
 
 
-def phase_oracle(state: Statevector, formula: CnfFormula,
-                 extra_control: bool = False) -> Statevector:
-    """Flip the sign of amplitudes on satisfying assignments.
+def oracle_signs(formula: CnfFormula, extra_control: bool = False) -> np.ndarray:
+    """The phase oracle's diagonal: -1 on satisfying assignments, else +1.
 
     With extra_control the register carries one extra (most significant)
     qubit and the flip applies only where that qubit is 0, which halves the
     solution fraction of the doubled space.
     """
+    signs = np.where(satisfying_mask(formula), -1.0, 1.0)
+    if extra_control:
+        signs = np.concatenate([signs, np.ones_like(signs)])
+    return signs
+
+
+def phase_oracle(state: Statevector, formula: CnfFormula,
+                 extra_control: bool = False, signs: np.ndarray | None = None) -> Statevector:
+    """Flip the sign of amplitudes on satisfying assignments.
+
+    ``signs`` is ``oracle_signs(formula, extra_control)``; a caller applying
+    the oracle repeatedly passes it in so the CNF mask is built once.
+    """
     n = formula.num_variables
     expected = n + 1 if extra_control else n
     if state.num_qubits != expected:
         raise ValueError(f"oracle expects {expected} qubits, state has {state.num_qubits}")
-    mask = satisfying_mask(formula)
-    signs = np.where(mask, -1.0, 1.0)
-    if extra_control:
-        signs = np.concatenate([signs, np.ones_like(signs)])
+    if signs is None:
+        signs = oracle_signs(formula, extra_control)
     return Statevector(state.num_qubits, state.amplitudes * signs)
 
 
@@ -186,7 +196,8 @@ def sample(state: Statevector, shots: int, seed: int) -> dict[int, int]:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
-    return {int(i): int(c) for i, c in enumerate(counts) if c}
+    hits = np.flatnonzero(counts)
+    return dict(zip(hits.tolist(), counts[hits].tolist()))
 
 
 def post_select(state: Statevector, qubits, values) -> tuple[Statevector | None, float]:

@@ -15,6 +15,7 @@ import time
 from ..cnf import CnfFormula
 from ..simulator import (
     grover_diffusion,
+    oracle_signs,
     phase_oracle,
     sample,
     spawn_seeds,
@@ -58,10 +59,11 @@ def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> So
     for extra in (False, True):
         num_qubits = n + 1 if extra else n
         prepared = uniform_superposition(num_qubits)
+        signs = oracle_signs(formula, extra_control=extra)
         for k, iterations in grover_schedule(num_qubits):
             state = prepared
             for _ in range(iterations):
-                state = phase_oracle(state, formula, extra_control=extra)
+                state = phase_oracle(state, formula, extra_control=extra, signs=signs)
                 state = grover_diffusion(state)
             counts = sample(state, shots, seeds[point])
             shots_used += shots

@@ -142,3 +142,57 @@ def test_parallel_jobs_match_serial(tmp_path, capsys):
     capsys.readouterr()
     assert (serial / "convergence.csv").read_bytes() == \
         (parallel / "convergence.csv").read_bytes()
+
+
+def test_solver_exception_exits_two_not_one(tmp_path, capsys):
+    # 200 copies of (x1 | x2) push the 1/M gap so low that no filter degree
+    # under the cap suffices; the DegreeCapError must not read as "flaw"
+    path = tmp_path / "degree-cap.cnf"
+    path.write_text("p cnf 16 201\n" + "1 2 0\n" * 200 + "3 0\n")
+    code = main(["verify", "--dimacs", str(path), "--solver", "qsvt"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qverify: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_layers_below_one_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--synthetic", "or", "--solver", "qaoa", "--layers", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_layers_are_passed_through_unchanged(capsys):
+    from qverify.optimizers import OptimizerSpec
+    from qverify.pipeline import build_problem, solve
+    from qverify.synthetic import generate_synthetic
+
+    problem = build_problem(generate_synthetic("or", {}))
+    optimizer = OptimizerSpec(kind="simultaneous-perturbation", max_iterations=3)
+    assert solve(problem, "vqe", optimizer=optimizer, layers=0).config["layers"] == 0
+    code = main(["verify", "--synthetic", "or", "--solver", "qaoa", "--layers", "1",
+                 "--max-iterations", "3"])
+    assert code in (0, 1)
+    assert json.loads(capsys.readouterr().out)["config"]["layers"] == 1
+
+
+def test_oracle_budget_above_cap_rejected_before_allocation(tmp_path, capsys):
+    import tracemalloc
+
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 25 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--dimacs", str(path), "--oracle-budget", "25"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 1 << 20
+    for bad in ("-1", "25"):
+        with pytest.raises(SystemExit):
+            main(["verify", "--dimacs", str(path), "--oracle-budget", bad])
+    capsys.readouterr()

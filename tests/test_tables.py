@@ -1,0 +1,91 @@
+"""Property tests for the 2^n diagonal tables and the spectrum histogram."""
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qverify.cnf import Clause, CnfFormula
+from qverify.oracle import qubo_spectrum
+from qverify.reduction import Original, Qubo, cnf_to_qubo, qubo_to_ising
+
+
+@st.composite
+def upper_qubos(draw, max_vars=7):
+    n = draw(st.integers(0, max_vars))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    coeffs = {}
+    for key in pairs:
+        c = draw(st.integers(-50, 50))
+        if c:
+            coeffs[key] = c
+    offset = draw(st.integers(-100, 100))
+    return Qubo(num_vars=n, coeffs=coeffs, offset=offset,
+                variable_map=tuple(Original(v + 1) for v in range(n)))
+
+
+@st.composite
+def formulas(draw, max_vars=6, max_clauses=6):
+    n = draw(st.integers(1, max_vars))
+    clauses = []
+    for _ in range(draw(st.integers(0, max_clauses))):
+        variables = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(4, n),
+                                  unique=True))
+        signs = draw(st.lists(st.booleans(), min_size=len(variables),
+                              max_size=len(variables)))
+        clauses.append(Clause.of(*(-v if s else v for v, s in zip(variables, signs))))
+    return CnfFormula(n, tuple(clauses))
+
+
+@settings(max_examples=150, deadline=None)
+@given(upper_qubos())
+def test_objective_table_equals_scalar_objective(qubo):
+    table = qubo.objective_table()
+    assert table.dtype == np.int64
+    assert table.shape == (1 << qubo.num_vars,)
+    assert table.tolist() == [qubo.objective(a) for a in range(1 << qubo.num_vars)]
+
+
+def test_objective_table_small_cases():
+    empty = Qubo(num_vars=0, coeffs={}, offset=-7, variable_map=())
+    assert empty.objective_table().tolist() == [-7]
+    single = Qubo(num_vars=1, coeffs={(0, 0): -3}, offset=2, variable_map=(Original(1),))
+    assert single.objective_table().tolist() == [2, -1]
+
+
+def test_objective_table_refuses_more_than_24_variables():
+    with pytest.raises(ValueError):
+        Qubo(num_vars=25, coeffs={}, offset=0,
+             variable_map=tuple(Original(v + 1) for v in range(25))).objective_table()
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas())
+def test_energy_table_is_objective_table_as_float(formula):
+    qubo = cnf_to_qubo(formula)
+    energies = qubo_to_ising(qubo).energy_table()
+    expected = qubo.objective_table().astype(np.float64)
+    assert energies.dtype == np.float64
+    assert energies.tobytes() == expected.tobytes()
+
+
+def _assert_histogram_matches_scalar(qubo):
+    summary = qubo_spectrum(qubo)
+    want = Counter(qubo.objective(a) for a in range(1 << qubo.num_vars))
+    assert summary.value_histogram == dict(want)
+    assert list(summary.value_histogram) == sorted(want)
+    assert summary.min_value == min(want) and summary.max_value == max(want)
+    assert summary.min_count == want[summary.min_value]
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas())
+def test_spectrum_histogram_counts_scalar_objectives(formula):
+    _assert_histogram_matches_scalar(cnf_to_qubo(formula))
+
+
+@settings(max_examples=100, deadline=None)
+@given(upper_qubos(max_vars=5))
+def test_spectrum_histogram_of_arbitrary_qubo(qubo):
+    _assert_histogram_matches_scalar(qubo)
