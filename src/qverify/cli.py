@@ -70,10 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--optimizer", choices=KINDS, default="trust-region")
     verify.add_argument("--layers", type=_int_in(1), default=None,
                         help="circuit depth for qaoa/vqe")
-    verify.add_argument("--degree", type=int, default=None,
+    verify.add_argument("--degree", type=_int_in(1), default=None,
                         help="filter half-degree for qsvt (default: automatic)")
-    verify.add_argument("--shots", type=int, default=2048)
-    verify.add_argument("--max-iterations", type=int, default=200)
+    verify.add_argument("--shots", type=_int_in(1), default=2048)
+    verify.add_argument("--max-iterations", type=_int_in(1), default=200)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--oracle-budget", type=_int_in(0, DEFAULT_BUDGET),
                         default=DEFAULT_BUDGET,
@@ -89,18 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--out", type=Path, required=True, help="output directory")
     conv.add_argument("--instance", action="append", default=None,
                       metavar="NAME[:k=v,...]")
-    conv.add_argument("--runs", type=int, default=5)
+    conv.add_argument("--runs", type=_int_in(1), default=5)
     conv.add_argument("--seed", type=int, default=42)
-    conv.add_argument("--max-iterations", type=int, default=200)
-    conv.add_argument("--jobs", type=int, default=1)
+    conv.add_argument("--max-iterations", type=_int_in(1), default=200)
+    conv.add_argument("--jobs", type=_int_in(1), default=1)
 
     rates = sweep_sub.add_parser("rates", help="qsvt success rates across the catalog")
     rates.add_argument("--out", type=Path, required=True, help="output directory")
     rates.add_argument("--instance", action="append", default=None,
                        metavar="NAME[:k=v,...]")
-    rates.add_argument("--shots", type=int, default=100_000)
+    rates.add_argument("--shots", type=_int_in(1), default=100_000)
     rates.add_argument("--seed", type=int, default=42)
-    rates.add_argument("--jobs", type=int, default=1)
+    rates.add_argument("--jobs", type=_int_in(1), default=1)
 
     heat = sweep_sub.add_parser("heatmap", help="filter quality over degree and gap")
     heat.add_argument("--out", type=Path, required=True, help="output directory")

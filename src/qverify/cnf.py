@@ -8,6 +8,7 @@ the number 42 prints as ``101010``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +86,27 @@ class CnfFormula:
                         f"variable {lit.variable} exceeds declared count {self.num_variables}"
                     )
 
+    @cached_property
+    def _clause_masks(self) -> tuple[tuple[int, int], ...]:
+        """(positive, negated) variable bitmasks per clause, in assignment bit order."""
+        masks = []
+        for cl in self.clauses:
+            pos = neg = 0
+            for lit in cl.literals:
+                if lit.negated:
+                    neg |= 1 << (lit.variable - 1)
+                else:
+                    pos |= 1 << (lit.variable - 1)
+            masks.append((pos, neg))
+        return tuple(masks)
+
     def evaluate(self, assignment: int) -> bool:
-        return all(cl.is_satisfied_by(assignment) for cl in self.clauses)
+        """True when every clause has a set positive or an unset negated variable."""
+        unset = ~assignment
+        for pos, neg in self._clause_masks:
+            if not (assignment & pos or unset & neg):
+                return False
+        return True
 
     def unsatisfied_count(self, assignment: int) -> int:
         return sum(not cl.is_satisfied_by(assignment) for cl in self.clauses)

@@ -8,6 +8,7 @@ invariant checked after each step for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ class Statevector:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError("amplitude length must be 2^num_qubits")
-        norm = float(np.linalg.norm(amps))
+        norm = float(np.sqrt(np.vdot(amps, amps).real))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
         amps.setflags(write=False)
@@ -53,6 +54,26 @@ class DiagonalHamiltonian:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, int] | None:
+        levels = self.values.astype(np.int64)
+        top = int(levels.max())
+        if levels.min() >= 0 and top < levels.size and np.array_equal(levels, self.values):
+            return levels, top
+        return None
+
+    def per_level(self, fn) -> np.ndarray:
+        """fn(values) for an elementwise fn, evaluated once per distinct value.
+
+        Reduced energies are small non-negative integers, so fn runs on
+        0..max and the result is gathered, bit for bit fn(values); any other
+        table (a hand-built one) gets fn(values) directly.
+        """
+        if self._levels is None:
+            return fn(self.values)
+        levels, top = self._levels
+        return fn(np.arange(top + 1, dtype=np.float64))[levels]
+
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
     """Derive independent child seeds; stable across runs for a fixed seed."""
@@ -69,8 +90,8 @@ def apply_diagonal_phase(state: Statevector, hamiltonian: DiagonalHamiltonian,
                          gamma: float) -> Statevector:
     if hamiltonian.num_qubits != state.num_qubits:
         raise ValueError("hamiltonian size does not match the state")
-    return Statevector(state.num_qubits,
-                       state.amplitudes * np.exp(-1j * gamma * hamiltonian.values))
+    phases = hamiltonian.per_level(lambda values: np.exp(-1j * gamma * values))
+    return Statevector(state.num_qubits, state.amplitudes * phases)
 
 
 def _rx_matrix(angle: float) -> np.ndarray:
@@ -78,49 +99,68 @@ def _rx_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
-def _ry_matrix(angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def _ry_matrices(angles: np.ndarray) -> np.ndarray:
+    """RY(angle) for each angle, stacked into shape (len(angles), 2, 2)."""
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    return np.stack([c, -s, s, c], axis=-1).astype(np.complex128).reshape(-1, 2, 2)
+
+
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+
+
+def _gate_layer(amps: np.ndarray, matrices) -> np.ndarray:
+    """Apply matrices[q] to qubit q for q = 0..n-1, n = len(matrices).
+
+    Each step views the least significant qubit as the columns of a
+    reshape(-1, 2) and multiplies by the 2x2 matrix, so the new bit-0 and
+    bit-1 amplitudes land in the two contiguous halves of the result: the
+    qubit just updated becomes the most significant one.  After n steps every
+    qubit is back in place.  The product is one BLAS call per qubit, which
+    rounds exactly as a per-qubit tensordot does.
+    """
+    for matrix in matrices:
+        amps = np.dot(matrix, amps.reshape(-1, 2).T).reshape(-1)
+    return amps
+
+
+@lru_cache(maxsize=8)
+def _cnot_ring(n: int) -> np.ndarray:
+    """Gather indices for CNOT(q, q+1 mod n) applied for q = 0..n-1; read-only,
+    as every caller shares it."""
+    idx = np.arange(1 << n)
+    perm = idx
+    for q in range(n):
+        perm = perm[np.where((idx >> q) & 1 == 1, idx ^ (1 << ((q + 1) % n)), idx)]
+    perm.setflags(write=False)
+    return perm
 
 
 def apply_rx_all(state: Statevector, beta: float) -> Statevector:
     """RX(2*beta) on every qubit — the transverse-field mixing layer."""
-    amps = state.amplitudes
-    for q in range(state.num_qubits):
-        amps = _apply_single(amps, state.num_qubits, _rx_matrix(2.0 * beta), q)
-    return Statevector(state.num_qubits, amps)
+    rx = _rx_matrix(2.0 * beta)
+    return Statevector(state.num_qubits, _gate_layer(state.amplitudes, [rx] * state.num_qubits))
 
 
-def _apply_single(amps: np.ndarray, n: int, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    reshaped = amps.reshape([2] * n)
-    axis = n - 1 - qubit
-    moved = np.moveaxis(reshaped, axis, 0)
-    out = np.tensordot(matrix, moved, axes=([1], [0]))
-    return np.moveaxis(out, 0, axis).reshape(-1)
-
-
-def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(amps.size)
-    flipped = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return amps[flipped]
-
-
-def apply_ansatz(state: Statevector, layers: int, params: np.ndarray) -> Statevector:
+def apply_ansatz(state: Statevector, layers: int, params: np.ndarray,
+                 insert_y_at: int | None = None) -> Statevector:
     """Hardware-efficient ansatz: per layer RY on each qubit then a CNOT ring,
-    closed by a final RY layer.  Expects n * (layers + 1) parameters."""
+    closed by a final RY layer.  Expects n * (layers + 1) parameters.
+
+    ``insert_y_at`` turns the RY of that parameter into Y RY(theta), the
+    generator insertion behind the exact gradient.
+    """
     n = state.num_qubits
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (n * (layers + 1),):
         raise ValueError(f"expected {n * (layers + 1)} parameters, got {params.size}")
+    gates = _ry_matrices(params)
+    if insert_y_at is not None:
+        gates[insert_y_at] = _Y @ gates[insert_y_at]
     amps = state.amplitudes
-    pos = 0
     for layer in range(layers + 1):
-        for q in range(n):
-            amps = _apply_single(amps, n, _ry_matrix(params[pos]), q)
-            pos += 1
+        amps = _gate_layer(amps, gates[layer * n:(layer + 1) * n])
         if layer < layers and n >= 2:
-            for q in range(n):
-                amps = _apply_cnot(amps, n, q, (q + 1) % n)
+            amps = amps[_cnot_ring(n)]
     return Statevector(n, amps)
 
 

@@ -97,11 +97,11 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
         raise ValueError(f"{n} qubits exceeds the filtering cap {QSVT_MAX_QUBITS}")
     ham = hamiltonian_from_ising(ising)
     scale, delta = _scale_and_delta(gap)
-    encoding = build_block_encoding(ham, gap, scale=scale)
+    build_block_encoding(ham, gap, scale=scale)  # checks H / scale lies in [0, 1]
     d = choose_degree(delta, n) if degree is None else degree
     poly = FilterPolynomial(d, delta)
 
-    filtered = eval_filter(poly, encoding.diagonal)
+    filtered = ham.per_level(lambda values: eval_filter(poly, values / scale))
     dim = 1 << n
     amps = np.empty(2 * dim, dtype=np.complex128)
     amps[:dim] = filtered / np.sqrt(dim)

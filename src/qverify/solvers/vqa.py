@@ -19,9 +19,7 @@ from ..reduction import IsingModel
 from ..simulator import (
     DiagonalHamiltonian,
     Statevector,
-    _apply_single,
-    _rx_matrix,
-    _ry_matrix,
+    apply_ansatz,
     apply_diagonal_phase,
     apply_rx_all,
     sample,
@@ -39,48 +37,29 @@ from .report import (
 
 VQA_MAX_QUBITS = 20
 
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
-
-def qaoa_state(hamiltonian: DiagonalHamiltonian, gammas, betas) -> Statevector:
+def qaoa_state(hamiltonian: DiagonalHamiltonian, gammas, betas,
+               state: Statevector | None = None) -> Statevector:
     """Alternate phase separation and transverse-field mixing, one pair per
-    layer, starting from the uniform superposition."""
+    layer, starting from ``state`` (default: the uniform superposition)."""
     if len(gammas) != len(betas):
         raise ValueError("need one beta per gamma")
-    state = uniform_superposition(hamiltonian.num_qubits)
+    if state is None:
+        state = uniform_superposition(hamiltonian.num_qubits)
     for gamma, beta in zip(gammas, betas):
         state = apply_diagonal_phase(state, hamiltonian, gamma)
         state = apply_rx_all(state, beta)
     return state
 
 
-def _vqe_amps(n: int, layers: int, params: np.ndarray,
-              insert_y_after: int | None = None) -> np.ndarray:
-    """Raw ansatz run from |0..0>, optionally inserting Y right after one RY
-    (the generator trick used by the exact gradient)."""
+def _ground_state(n: int) -> Statevector:
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = 1.0
-    pos = 0
-    for layer in range(layers + 1):
-        for q in range(n):
-            amps = _apply_single(amps, n, _ry_matrix(params[pos]), q)
-            if insert_y_after == pos:
-                amps = _apply_single(amps, n, _Y, q)
-            pos += 1
-        if layer < layers and n >= 2:
-            idx = np.arange(amps.size)
-            for q in range(n):
-                target = (q + 1) % n
-                flipped = np.where((idx >> q) & 1 == 1, idx ^ (1 << target), idx)
-                amps = amps[flipped]
-    return amps
+    return Statevector(n, amps)
 
 
 def vqe_state(n: int, layers: int, params) -> Statevector:
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (n * (layers + 1),):
-        raise ValueError(f"expected {n * (layers + 1)} parameters, got {params.size}")
-    return Statevector(n, _vqe_amps(n, layers, params))
+    return apply_ansatz(_ground_state(n), layers, params)
 
 
 def qaoa_energy_gradient(hamiltonian: DiagonalHamiltonian, gammas, betas):
@@ -88,33 +67,34 @@ def qaoa_energy_gradient(hamiltonian: DiagonalHamiltonian, gammas, betas):
 
     exp(-i g H) differentiates to -iH times the layer and exp(-i b X_all) to
     -i sum_q X_q times it; each derivative state chi gives 2 Im <psi|H|chi>.
+    H commutes with its phase layer and sum_q X_q with its mixer, so chi is
+    the forward circuit resumed from the generator applied to the state
+    before layer l (gamma) or after it (beta), with the norm carried aside.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
     n = hamiltonian.num_qubits
     values = hamiltonian.values
-    p = len(gammas)
+    idx = np.arange(1 << n)
 
-    def run(insert_kind: str | None = None, insert_layer: int = -1) -> np.ndarray:
-        amps = uniform_superposition(n).amplitudes.copy()
-        idx = np.arange(amps.size)
-        for layer in range(p):
-            amps = amps * np.exp(-1j * gammas[layer] * values)
-            if insert_kind == "gamma" and insert_layer == layer:
-                amps = amps * values
-            for q in range(n):
-                amps = _apply_single(amps, n, _rx_matrix(2.0 * betas[layer]), q)
-            if insert_kind == "beta" and insert_layer == layer:
-                amps = sum(amps[idx ^ (1 << q)] for q in range(n))
-        return amps
+    def resume(amps: np.ndarray, start: int) -> np.ndarray:
+        norm = np.linalg.norm(amps)
+        if norm == 0.0:
+            return amps
+        unit = Statevector(n, amps / norm)
+        return norm * qaoa_state(hamiltonian, gammas[start:], betas[start:], unit).amplitudes
 
-    psi = run()
-    h_psi = values * psi
-    grad_g = np.empty(p)
-    grad_b = np.empty(p)
-    for layer in range(p):
-        grad_g[layer] = 2.0 * np.imag(np.vdot(h_psi, run("gamma", layer)))
-        grad_b[layer] = 2.0 * np.imag(np.vdot(h_psi, run("beta", layer)))
+    prefix = [uniform_superposition(n)]
+    for gamma, beta in zip(gammas, betas):
+        prefix.append(qaoa_state(hamiltonian, [gamma], [beta], prefix[-1]))
+    h_psi = values * prefix[-1].amplitudes
+    grad_g, grad_b = np.empty(len(gammas)), np.empty(len(gammas))
+    for layer in range(len(gammas)):
+        before, after = prefix[layer].amplitudes, prefix[layer + 1].amplitudes
+        chi_g = resume(values * before, layer)
+        chi_b = resume(sum(after[idx ^ (1 << q)] for q in range(n)), layer + 1)
+        grad_g[layer] = 2.0 * np.imag(np.vdot(h_psi, chi_g))
+        grad_b[layer] = 2.0 * np.imag(np.vdot(h_psi, chi_b))
     return grad_g, grad_b
 
 
@@ -123,85 +103,60 @@ def vqe_energy_gradient(hamiltonian: DiagonalHamiltonian, layers: int, params):
     component is Im <psi|H|chi_p> with chi_p the Y-inserted run."""
     params = np.asarray(params, dtype=np.float64)
     n = hamiltonian.num_qubits
-    psi = _vqe_amps(n, layers, params)
-    h_psi = hamiltonian.values * psi
+    ground = _ground_state(n)
+    h_psi = hamiltonian.values * apply_ansatz(ground, layers, params).amplitudes
     grad = np.empty(params.size)
     for pos in range(params.size):
-        chi = _vqe_amps(n, layers, params, insert_y_after=pos)
+        chi = apply_ansatz(ground, layers, params, insert_y_at=pos).amplitudes
         grad[pos] = np.imag(np.vdot(h_psi, chi))
     return grad
 
 
-def _finish(solver: str, formula: CnfFormula, result, final_state: Statevector,
-            shots: int, sample_seed: int, seed: int, config: dict,
-            started: float) -> SolverReport:
-    counts = sample(final_state, shots, sample_seed)
+def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
+           x0_range: tuple[float, float], num_params: int, layers: int,
+           optimizer: OptimizerSpec | None, shots: int, seed: int) -> SolverReport:
+    """Minimize the energy of circuit(ham, params), then sample the optimized
+    state and CNF-check the candidates."""
+    started = time.perf_counter()
+    if ising.n > VQA_MAX_QUBITS:
+        raise ValueError(f"{ising.n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
+    optimizer = optimizer or OptimizerSpec()
+    ham = hamiltonian_from_ising(ising)
+    init_seed, opt_seed, sample_seed = spawn_seeds(seed, 3)
+
+    def objective(params: np.ndarray) -> float:
+        return expectation(circuit(ham, params).probabilities(), ham.values)
+
+    x0 = np.random.default_rng(init_seed).uniform(*x0_range, size=num_params)
+    result = minimize(objective, x0, optimizer, seed=opt_seed)
+    counts = sample(circuit(ham, result.best_params), shots, sample_seed)
     candidates = project_candidates(counts, formula.num_variables)
     verdict = first_verified(formula, (a for a, _ in candidates))
     if verdict is None:
         verdict = NoSolutionFound(f"no satisfying sample among {shots} shots")
-    return SolverReport(
-        solver=solver,
-        verdict=verdict,
-        best_value=result.best_value,
-        convergence_trace=result.trace,
-        shots_used=shots,
-        wall_time_s=time.perf_counter() - started,
-        config=config,
-        seed=seed,
-    )
+    config = {"layers": layers, "optimizer": optimizer.kind,
+              "max_iterations": optimizer.max_iterations, "shots": shots}
+    return SolverReport(solver=solver, verdict=verdict, best_value=result.best_value,
+                        convergence_trace=result.trace, shots_used=shots,
+                        wall_time_s=time.perf_counter() - started, config=config,
+                        seed=seed)
 
 
 def solve_qaoa(ising: IsingModel, formula: CnfFormula, *, layers: int = 3,
                optimizer: OptimizerSpec | None = None, shots: int = 2048,
                seed: int = 0) -> SolverReport:
-    started = time.perf_counter()
-    if ising.n > VQA_MAX_QUBITS:
-        raise ValueError(f"{ising.n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
-    optimizer = optimizer or OptimizerSpec()
-    ham = hamiltonian_from_ising(ising)
-    init_seed, opt_seed, sample_seed = spawn_seeds(seed, 3)
+    def circuit(ham: DiagonalHamiltonian, params: np.ndarray) -> Statevector:
+        return qaoa_state(ham, params[:layers], params[layers:])
 
-    def objective(params: np.ndarray) -> float:
-        state = qaoa_state(ham, params[:layers], params[layers:])
-        return expectation(state.probabilities(), ham.values)
-
-    x0 = np.random.default_rng(init_seed).uniform(0.0, np.pi / 4, size=2 * layers)
-    result = minimize(objective, x0, optimizer, seed=opt_seed)
-    final = qaoa_state(ham, result.best_params[:layers], result.best_params[layers:])
-    config = {
-        "layers": layers,
-        "optimizer": optimizer.kind,
-        "max_iterations": optimizer.max_iterations,
-        "shots": shots,
-    }
-    return _finish("qaoa", formula, result, final, shots, sample_seed, seed,
-                   config, started)
+    return _solve("qaoa", ising, formula, circuit, (0.0, np.pi / 4), 2 * layers,
+                  layers, optimizer, shots, seed)
 
 
 def solve_vqe(ising: IsingModel, formula: CnfFormula, *, layers: int = 2,
               optimizer: OptimizerSpec | None = None, shots: int = 2048,
               seed: int = 0) -> SolverReport:
-    started = time.perf_counter()
-    if ising.n > VQA_MAX_QUBITS:
-        raise ValueError(f"{ising.n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
-    optimizer = optimizer or OptimizerSpec()
-    ham = hamiltonian_from_ising(ising)
-    init_seed, opt_seed, sample_seed = spawn_seeds(seed, 3)
-    n = ising.n
+    def circuit(ham: DiagonalHamiltonian, params: np.ndarray) -> Statevector:
+        return vqe_state(ising.n, layers, params)
 
-    def objective(params: np.ndarray) -> float:
-        state = vqe_state(n, layers, params)
-        return expectation(state.probabilities(), ham.values)
-
-    x0 = np.random.default_rng(init_seed).uniform(-np.pi, np.pi, size=n * (layers + 1))
-    result = minimize(objective, x0, optimizer, seed=opt_seed)
-    final = vqe_state(n, layers, result.best_params)
-    config = {
-        "layers": layers,
-        "optimizer": optimizer.kind,
-        "max_iterations": optimizer.max_iterations,
-        "shots": shots,
-    }
-    return _finish("vqe", formula, result, final, shots, sample_seed, seed,
-                   config, started)
+    return _solve("vqe", ising, formula, circuit, (-np.pi, np.pi), ising.n * (layers + 1),
+                  layers, optimizer, shots, seed)

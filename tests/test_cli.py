@@ -196,3 +196,23 @@ def test_oracle_budget_above_cap_rejected_before_allocation(tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--dimacs", str(path), "--oracle-budget", bad])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dimacs", "missing.cnf", "--shots", "0"],
+    ["verify", "--dimacs", "missing.cnf", "--solver", "brute", "--shots", "-5"],
+    ["verify", "--dimacs", "missing.cnf", "--max-iterations", "0"],
+    ["verify", "--dimacs", "missing.cnf", "--solver", "qsvt", "--degree", "0"],
+    ["sweep", "convergence", "--out", "unused", "--runs", "0"],
+    ["sweep", "rates", "--out", "unused", "--jobs", "-4"],
+], ids=["shots", "negative-shots", "max-iterations", "degree", "runs", "jobs"])
+def test_numeric_options_below_one_rejected_before_loading(argv, tmp_path,
+                                                         monkeypatch, capsys):
+    # the input file does not exist: reaching the loader would return 2
+    # instead of raising, so SystemExit shows the option failed at parse time
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
