@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from .checker import CheckerConfig, CheckerUnavailableError, checker_flag_table, run_model_checker
@@ -47,7 +48,10 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: it depends on no request, so it is
+    built on first use and reused; `parse_args` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="qverify",
         description="Decide reachability of error conditions by reducing CNF "

@@ -8,7 +8,8 @@ on the QUBO side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,16 +41,21 @@ def enumerate_sat(formula: CnfFormula, budget: int = DEFAULT_BUDGET) -> list[int
 class SpectrumSummary:
     """Full-objective statistics of a QUBO.
 
-    satisfying_set holds the zero-objective assignments projected onto the
-    original-variable prefix (deduplicated, ascending); min_value == 0 exactly
-    when it is non-empty.
+    satisfying holds the zero-objective assignments projected onto the
+    original-variable prefix (deduplicated, ascending) as an int64 array;
+    min_value == 0 exactly when it is non-empty.  satisfying_set is the same
+    as a tuple of ints, built on first access.
     """
 
     min_value: int
     min_count: int
     max_value: int
-    satisfying_set: tuple[int, ...]
+    satisfying: np.ndarray = field(compare=False, repr=False)
     value_histogram: dict[int, int]
+
+    @cached_property
+    def satisfying_set(self) -> tuple[int, ...]:
+        return tuple(self.satisfying.tolist())
 
 
 def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,17 +81,18 @@ def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET) -> SpectrumSummary:
     histogram = {int(v): int(c) for v, c in zip(keys, counts)}
     min_value = int(keys[0])
     max_value = int(keys[-1])
-    satisfying: list[int] = []
+    satisfying = np.empty(0, dtype=np.int64)
     if min_value == 0:
-        zeros = np.flatnonzero(values == 0)
-        zeros &= (1 << qubo.num_original) - 1
-        projected = np.zeros(1 << qubo.num_original, dtype=bool)
-        projected[zeros] = True
-        satisfying = np.flatnonzero(projected).tolist()
+        zero = values == 0
+        del values  # free the table before the projection allocates
+        if qubo.num_auxiliary:
+            # rows are auxiliary bit patterns, columns original assignments
+            zero = zero.reshape(-1, 1 << qubo.num_original).any(axis=0)
+        satisfying = np.flatnonzero(zero)
     return SpectrumSummary(
         min_value=min_value,
         min_count=histogram[min_value],
         max_value=max_value,
-        satisfying_set=tuple(satisfying),
+        satisfying=satisfying,
         value_histogram=histogram,
     )

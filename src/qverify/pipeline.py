@@ -11,6 +11,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .cnf import CnfFormula, format_assignment
@@ -41,19 +42,23 @@ SOLVERS = ("brute", "qaoa", "vqe", "grover", "qsvt")
 class Problem:
     formula: CnfFormula
     qubo: Qubo
-    ising: IsingModel
     gap: GapInfo
     spectrum: SpectrumSummary | None
+
+    @cached_property
+    def ising(self) -> IsingModel:
+        """The spin form of the QUBO, built on first access (`brute` never
+        reads it)."""
+        return qubo_to_ising(self.qubo)
 
 
 def build_problem(formula: CnfFormula, oracle_budget: int = DEFAULT_BUDGET) -> Problem:
     qubo = cnf_to_qubo(formula)
-    ising = qubo_to_ising(qubo)
     spectrum = None
     if qubo.num_vars <= oracle_budget:
         spectrum = qubo_spectrum(qubo, budget=oracle_budget)
     gap = compute_gap(qubo, spectrum=spectrum)
-    return Problem(formula=formula, qubo=qubo, ising=ising, gap=gap, spectrum=spectrum)
+    return Problem(formula=formula, qubo=qubo, gap=gap, spectrum=spectrum)
 
 
 def _solve_brute(problem: Problem, seed: int) -> SolverReport:
@@ -61,7 +66,7 @@ def _solve_brute(problem: Problem, seed: int) -> SolverReport:
     if problem.spectrum is None:
         raise ValueError("instance exceeds the oracle budget; pick a quantum solver")
     spectrum = problem.spectrum
-    verdict = first_verified(problem.formula, spectrum.satisfying_set)
+    verdict = first_verified(problem.formula, map(int, spectrum.satisfying))
     if verdict is None:
         verdict = NoSolutionFound("exhaustive enumeration found no solution")
     return SolverReport(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -111,7 +112,8 @@ def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
     Built by doubling: for x < 2^k, setting bit k adds
     row_k[x] = U_kk + sum_{j<k} U_jk x_j, where U folds q onto its upper
     triangle, and row_k is doubled up from U_kk one lower bit at a time.
-    O(2^n) time; the table plus one half-size scratch row.
+    Row k is built in place in out[2^k:2^(k+1)], then the lower half is
+    added onto it: O(2^n) time, and no memory beyond the table itself.
     """
     n = q.shape[0]
     if n > MAX_MASK_VARIABLES:
@@ -120,14 +122,13 @@ def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
     upper = np.triu(q) + np.tril(q, -1).T
     out = np.empty(1 << n, dtype=np.int64)
     out[0] = offset
-    scratch = np.empty(out.size >> 1, dtype=np.int64)
     for k in range(n):
         half = 1 << k
-        row = scratch[:half]
+        row = out[half:2 * half]
         row[0] = upper[k, k]
         for j in range(k):
             np.add(row[:1 << j], upper[j, k], out=row[1 << j:2 << j])
-        np.add(out[:half], row, out=out[half:2 * half])
+        row += out[:half]
     return out
 
 
@@ -322,23 +323,29 @@ class IsingModel:
 
 
 def qubo_to_ising(qubo: Qubo) -> IsingModel:
-    """Substitute x_i = (1 - z_i)/2; energies match objectives exactly."""
-    n = qubo.num_vars
-    h = [Fraction(0)] * n
-    couplings: dict[tuple[int, int], Fraction] = {}
-    offset = Fraction(qubo.offset)
+    """Substitute x_i = (1 - z_i)/2; energies match objectives exactly.
+
+    Every term is a multiple of 1/4, so the sums build up as integers in
+    quarters and each becomes a Fraction once.
+    """
+    h4 = [0] * qubo.num_vars
+    couplings4: dict[tuple[int, int], int] = {}
+    offset4 = 4 * index(qubo.offset)
     for (i, j), coeff in qubo.coeffs.items():
-        c = Fraction(coeff)
+        c = index(coeff)
         if i == j:
-            offset += c / 2
-            h[i] -= c / 2
+            offset4 += 2 * c
+            h4[i] -= 2 * c
         else:
-            offset += c / 4
-            h[i] -= c / 4
-            h[j] -= c / 4
-            couplings[(i, j)] = couplings.get((i, j), Fraction(0)) + c / 4
-    couplings = {k: v for k, v in couplings.items() if v != 0}
-    return IsingModel(h=tuple(h), couplings=couplings, offset=offset)
+            offset4 += c
+            h4[i] -= c
+            h4[j] -= c
+            couplings4[(i, j)] = couplings4.get((i, j), 0) + c
+    return IsingModel(
+        h=tuple(Fraction(v, 4) for v in h4),
+        couplings={k: Fraction(v, 4) for k, v in couplings4.items() if v != 0},
+        offset=Fraction(offset4, 4),
+    )
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ class DiagonalHamiltonian:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)  # freeze a copy, not the caller's array
         if vals.shape != (1 << self.num_qubits,):
             raise ValueError("value table length must be 2^num_qubits")
         vals.setflags(write=False)

@@ -216,3 +216,96 @@ def test_numeric_options_below_one_rejected_before_loading(argv, tmp_path,
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_per_process():
+    from qverify.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def test_check_list_does_not_leak_between_calls(make_fake_checker, checker_env, tmp_path):
+    from qverify.cli import _build_parser
+
+    script, log = make_fake_checker("p cnf 2 1\n1 2 0\n")
+    checker_env(script)
+    source = str(DATA / "overflow.c")
+    assert main(["verify", "--source", source, "--check", "overflow",
+                 "--out", str(tmp_path / "a.json")]) == 1
+    assert "--signed-overflow-check" in log.read_text().splitlines()
+    assert main(["verify", "--source", source, "--out", str(tmp_path / "b.json")]) == 1
+    assert "--signed-overflow-check" not in log.read_text().splitlines()
+    assert _build_parser().parse_args(["verify", "--source", source]).check == []
+
+
+def _without_duration(text: str) -> list[str]:
+    return [line for line in text.splitlines() if "duration_ms" not in line]
+
+
+def test_report_does_not_depend_on_earlier_requests(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    argv = ["verify", "--synthetic", "or:n=3", "--solver", "qsvt", "--seed", "7"]
+    first = tmp_path / "first.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "qverify.cli", *argv, "--out", str(first)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert main(["verify", "--synthetic", "unique", "--solver", "grover", "--seed", "3",
+                 "--out", str(tmp_path / "other.json")]) == 1
+    later = tmp_path / "later.json"
+    assert main([*argv, "--out", str(later)]) == 1
+    assert _without_duration(later.read_text()) == _without_duration(first.read_text())
+
+
+def test_brute_never_builds_the_ising_model(monkeypatch, capsys):
+    import qverify.pipeline as pipeline
+
+    def refuse(qubo):
+        raise AssertionError("brute read the Ising model")
+
+    monkeypatch.setattr(pipeline, "qubo_to_ising", refuse)
+    assert main(["verify", "--synthetic", "unique", "--solver", "brute"]) == 1
+    assert main(["verify", "--synthetic", "xor:n=3", "--solver", "brute"]) in (0, 1)
+    capsys.readouterr()
+
+
+def test_qsvt_builds_the_ising_model_once_per_request(monkeypatch, capsys):
+    import qverify.pipeline as pipeline
+
+    calls = []
+    original = pipeline.qubo_to_ising
+
+    def counting(qubo):
+        calls.append(qubo)
+        return original(qubo)
+
+    monkeypatch.setattr(pipeline, "qubo_to_ising", counting)
+    for request in (1, 2):
+        assert main(["verify", "--synthetic", "or:n=3", "--solver", "qsvt"]) == 1
+        assert len(calls) == request
+    capsys.readouterr()
+
+
+def test_brute_memory_stays_near_the_table(tmp_path, capsys):
+    # every one of the 2^18 assignments satisfies the empty formula: the
+    # peak is the int64 table and a bool mask, then the mask and the int64
+    # result; holding them as Python ints would cost about 36 bytes each more
+    import tracemalloc
+
+    from qverify.cli import _build_parser
+
+    path = tmp_path / "free.cnf"
+    path.write_text("p cnf 18 0\n")
+    _build_parser()
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--dimacs", str(path), "--solver", "brute"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak <= 12 << 18
+    capsys.readouterr()

@@ -189,3 +189,12 @@ def test_spawn_seeds_are_distinct_and_stable():
     assert seeds == spawn_seeds(42, 4)
     assert len(set(seeds)) == 4
     assert all(isinstance(s, int) for s in seeds)
+
+
+def test_diagonal_hamiltonian_leaves_the_callers_array_writable():
+    values = np.arange(4.0)
+    ham = DiagonalHamiltonian(2, values)
+    values[0] = 5.0
+    assert ham.values[0] == 0.0
+    with pytest.raises(ValueError):
+        ham.values[0] = 1.0

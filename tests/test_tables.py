@@ -1,5 +1,7 @@
 """Property tests for the 2^n diagonal tables and the spectrum histogram."""
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qverify.cnf import Clause, CnfFormula
-from qverify.oracle import qubo_spectrum
-from qverify.reduction import Original, Qubo, cnf_to_qubo, qubo_to_ising
+from qverify.oracle import enumerate_sat, qubo_spectrum
+from qverify.reduction import Original, Qubo, _quadratic_table, cnf_to_qubo, qubo_to_ising
 
 
 @st.composite
@@ -89,3 +91,63 @@ def test_spectrum_histogram_counts_scalar_objectives(formula):
 @given(upper_qubos(max_vars=5))
 def test_spectrum_histogram_of_arbitrary_qubo(qubo):
     _assert_histogram_matches_scalar(qubo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas())
+def test_satisfying_assignments_are_an_int64_array(formula):
+    summary = qubo_spectrum(cnf_to_qubo(formula))
+    assert summary.satisfying.dtype == np.int64
+    assert summary.satisfying_set == tuple(summary.satisfying.tolist())
+    assert summary.satisfying_set == tuple(enumerate_sat(formula))
+
+
+def test_table_build_allocates_only_the_table():
+    n = 18
+    q = np.random.default_rng(5).integers(-9, 10, size=(n, n))
+    tracemalloc.start()
+    try:
+        table = _quadratic_table(q, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 8 << n
+    assert peak <= (8 << n) + (64 << 10)
+
+
+def _ising_reference(qubo):
+    """The substitution x = (1 - z)/2 term by term in Fractions."""
+    h = [Fraction(0)] * qubo.num_vars
+    couplings = {}
+    offset = Fraction(qubo.offset)
+    for (i, j), coeff in qubo.coeffs.items():
+        c = Fraction(coeff)
+        if i == j:
+            offset += c / 2
+            h[i] -= c / 2
+        else:
+            offset += c / 4
+            h[i] -= c / 4
+            h[j] -= c / 4
+            couplings[(i, j)] = couplings.get((i, j), Fraction(0)) + c / 4
+    return tuple(h), {k: v for k, v in couplings.items() if v != 0}, offset
+
+
+@st.composite
+def qubos_with_zero_terms(draw, max_vars=7):
+    n = draw(st.integers(0, max_vars))
+    keys = draw(st.permutations([(i, j) for i in range(n) for j in range(i, n)]))
+    coeffs = {key: draw(st.integers(-50, 50)) for key in keys[:draw(st.integers(0, len(keys)))]}
+    return Qubo(num_vars=n, coeffs=coeffs, offset=draw(st.integers(-100, 100)),
+                variable_map=tuple(Original(v + 1) for v in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubos_with_zero_terms())
+def test_qubo_to_ising_in_quarters_equals_fraction_reference(qubo):
+    ising = qubo_to_ising(qubo)
+    h, couplings, offset = _ising_reference(qubo)
+    assert ising.h == h
+    assert list(ising.couplings.items()) == list(couplings.items())
+    assert ising.offset == offset
+    assert all(isinstance(v, Fraction) for v in (*ising.h, *ising.couplings.values()))
