@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--check", action="append", default=[],
                         choices=sorted(checker_flag_table()),
                         help="error condition for the model checker (repeatable)")
-    verify.add_argument("--unwind", type=int, default=1, help="loop unwinding bound")
+    verify.add_argument("--unwind", type=_int_in(1), default=1, help="loop unwinding bound")
     verify.add_argument("--solver", choices=SOLVERS, default="brute")
     verify.add_argument("--optimizer", choices=KINDS, default="trust-region")
     verify.add_argument("--layers", type=_int_in(1), default=None,
@@ -108,9 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     heat = sweep_sub.add_parser("heatmap", help="filter quality over degree and gap")
     heat.add_argument("--out", type=Path, required=True, help="output directory")
-    heat.add_argument("--max-degree", type=int, default=60,
+    heat.add_argument("--max-degree", type=_int_in(1), default=60,
                       help="largest half-degree d")
-    heat.add_argument("--max-inverse-gap", type=int, default=20,
+    heat.add_argument("--max-inverse-gap", type=_int_in(2), default=20,
                       help="smallest gap is 1 over this")
 
     return parser

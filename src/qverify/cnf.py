@@ -17,6 +17,9 @@ class CnfError(ValueError):
     """Malformed formula or DIMACS input."""
 
 
+MAX_ARRAY_VARIABLES = 62  # variable bits 0..61 of an int64 assignment array
+
+
 @dataclass(frozen=True)
 class Literal:
     variable: int
@@ -107,6 +110,23 @@ class CnfFormula:
             if not (assignment & pos or unset & neg):
                 return False
         return True
+
+    def first_satisfying(self, assignments: np.ndarray) -> int | None:
+        """The first of ``assignments`` (int64) that satisfies the formula, or None.
+
+        Filters the survivors clause by clause with the same bitmasks as
+        `evaluate`; boolean filtering keeps their order.  Assignments must fit
+        an int64, so at most 62 variables.
+        """
+        if self.num_variables > MAX_ARRAY_VARIABLES:
+            raise CnfError(f"{self.num_variables} variables exceed the "
+                           f"{MAX_ARRAY_VARIABLES}-bit int64 assignment cap")
+        survivors = np.asarray(assignments, dtype=np.int64)
+        for pos, neg in self._clause_masks:
+            if not survivors.size:
+                return None
+            survivors = survivors[((survivors & pos) != 0) | ((~survivors & neg) != 0)]
+        return int(survivors[0]) if survivors.size else None
 
     def unsatisfied_count(self, assignment: int) -> int:
         return sum(not cl.is_satisfied_by(assignment) for cl in self.clauses)

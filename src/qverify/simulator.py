@@ -1,12 +1,16 @@
 """Dense statevector simulator.
 
 Qubit 0 is the least significant bit of the basis index, so basis state
-|b_{n-1} ... b_1 b_0> sits at index sum b_k 2^k.  Every operation returns a
-fresh Statevector; construction validates unit norm to 1e-10, which keeps the
-invariant checked after each step for free.
+|b_{n-1} ... b_1 b_0> sits at index sum b_k 2^k.  Statevector construction
+validates unit norm to 1e-10.  The public operations return a fresh
+Statevector, so the norm is checked after each of them; the inner kernels
+(`_gate_layer`, the CNOT ring, `grover_states`'s in-place pass) work on bare
+arrays, and their result is checked once, where it becomes a Statevector to be
+sampled, post-selected or returned.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -178,25 +182,55 @@ def oracle_signs(formula: CnfFormula, extra_control: bool = False) -> np.ndarray
 
 
 def phase_oracle(state: Statevector, formula: CnfFormula,
-                 extra_control: bool = False, signs: np.ndarray | None = None) -> Statevector:
-    """Flip the sign of amplitudes on satisfying assignments.
-
-    ``signs`` is ``oracle_signs(formula, extra_control)``; a caller applying
-    the oracle repeatedly passes it in so the CNF mask is built once.
-    """
+                 extra_control: bool = False) -> Statevector:
+    """Flip the sign of amplitudes on satisfying assignments."""
     n = formula.num_variables
     expected = n + 1 if extra_control else n
     if state.num_qubits != expected:
         raise ValueError(f"oracle expects {expected} qubits, state has {state.num_qubits}")
-    if signs is None:
-        signs = oracle_signs(formula, extra_control)
-    return Statevector(state.num_qubits, state.amplitudes * signs)
+    return Statevector(state.num_qubits, state.amplitudes * oracle_signs(formula, extra_control))
 
 
 def grover_diffusion(state: Statevector) -> Statevector:
     """Inversion about the mean: 2|s><s| - I applied to the state."""
     amps = state.amplitudes
     return Statevector(state.num_qubits, 2.0 * amps.mean() - amps)
+
+
+def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Statevector]:
+    """(D O)^t |s> for each t in ``iterations``, in order, with O the oracle
+    diagonal ``signs`` and D the diffusion, all from one in-place pass.
+
+    The pass runs the largest t once on one buffer, recording the (marked,
+    unmarked) amplitude pair at every t asked for; each state is then rebuilt
+    from its pair, and norm-checked, only when the caller draws it.
+
+    The rebuilt states are bitwise those of the step-by-step
+    ``grover_diffusion(phase_oracle(...))`` loop, not approximations.  The
+    buffer goes through exactly the elementwise operations that loop applies
+    (a complex multiply by the +-1 signs, then 2 * mean - amps), so it holds
+    the loop's values at every step.  Those values take only two bit
+    patterns: the start is uniform, the multiply by +-1 is exact, and the
+    mean is one scalar shared by every entry, so two entries with equal
+    values and equal signs stay equal after every step.  Every marked entry
+    is thus bitwise equal to every other marked entry, and likewise for the
+    unmarked ones, and one entry of each kind carries the whole state.
+    """
+    num_qubits = signs.size.bit_length() - 1
+    amps = uniform_superposition(num_qubits).amplitudes.copy()
+    marked, unmarked = int(np.argmin(signs)), int(np.argmax(signs))
+    wanted = set(iterations)
+    pairs = {}
+    for t in range(max(wanted, default=0) + 1):
+        if t:
+            amps *= signs
+            np.subtract(2.0 * amps.mean(), amps, out=amps)
+        if t in wanted:
+            pairs[t] = (amps[marked], amps[unmarked])
+    del amps
+    flipped = signs < 0
+    for t in iterations:
+        yield Statevector(num_qubits, np.where(flipped, *pairs[t]))
 
 
 def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
@@ -228,8 +262,9 @@ def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
     return Statevector(n, np.transpose(out, perm).reshape(-1))
 
 
-def sample(state: Statevector, shots: int, seed: int) -> dict[int, int]:
-    """Measurement histogram {basis index: count} over ``shots`` shots."""
+def sample_counts(state: Statevector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``shots`` times: the outcomes seen (ascending basis indices,
+    int64) and how often each came up."""
     if shots < 1:
         raise ValueError("shots must be positive")
     probs = state.probabilities()
@@ -237,7 +272,13 @@ def sample(state: Statevector, shots: int, seed: int) -> dict[int, int]:
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
     hits = np.flatnonzero(counts)
-    return dict(zip(hits.tolist(), counts[hits].tolist()))
+    return hits, counts[hits]
+
+
+def sample(state: Statevector, shots: int, seed: int) -> dict[int, int]:
+    """Measurement histogram {basis index: count} over ``shots`` shots."""
+    outcomes, counts = sample_counts(state, shots, seed)
+    return dict(zip(outcomes.tolist(), counts.tolist()))
 
 
 def post_select(state: Statevector, qubits, values) -> tuple[Statevector | None, float]:

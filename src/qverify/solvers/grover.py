@@ -12,15 +12,12 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
+
 from ..cnf import CnfFormula
-from ..simulator import (
-    grover_diffusion,
-    oracle_signs,
-    phase_oracle,
-    sample,
-    spawn_seeds,
-    uniform_superposition,
-)
+from ..simulator import grover_states, oracle_signs, sample_counts, spawn_seeds
+# perfbench/spans.py wraps these names here; they stay bound though unused
+from ..simulator import grover_diffusion, phase_oracle, sample  # noqa: F401
 from .report import NoSolutionFound, Sat, SolverReport, first_verified
 
 GROVER_MAX_QUBITS = 19  # the doubled register still has to fit the simulator
@@ -57,23 +54,20 @@ def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> So
     # enough child seeds for both passes
     seeds = spawn_seeds(seed, 2 * (n + 1))
     for extra in (False, True):
-        num_qubits = n + 1 if extra else n
-        prepared = uniform_superposition(num_qubits)
-        signs = oracle_signs(formula, extra_control=extra)
-        for k, iterations in grover_schedule(num_qubits):
-            state = prepared
-            for _ in range(iterations):
-                state = phase_oracle(state, formula, extra_control=extra, signs=signs)
-                state = grover_diffusion(state)
-            counts = sample(state, shots, seeds[point])
+        schedule = grover_schedule(n + 1 if extra else n)
+        states = grover_states(oracle_signs(formula, extra_control=extra),
+                               [iterations for _, iterations in schedule])
+        for (k, _), state in zip(schedule, states):
+            outcomes, counts = sample_counts(state, shots, seeds[point])
             shots_used += shots
-            threshold = (2.0 / 3.0) / (1 << k)
-            kept = [(outcome, c) for outcome, c in counts.items()
-                    if c / shots >= threshold]
-            kept.sort(key=lambda kv: (-kv[1], kv[0]))
-            trace.append((point, kept[0][1] / shots if kept else 0.0))
+            keep = counts / shots >= (2.0 / 3.0) / (1 << k)
+            outcomes, counts = outcomes[keep], counts[keep]
+            order = np.lexsort((outcomes, -counts))  # most frequent first, ties ascending
+            outcomes, counts = outcomes[order], counts[order]
+            trace.append((point, int(counts[0]) / shots if counts.size else 0.0))
             point += 1
-            verdict = first_verified(formula, (o & proj_mask for o, _ in kept))
+            witness = formula.first_satisfying(outcomes & proj_mask)
+            verdict = None if witness is None else first_verified(formula, [witness])
             if verdict is not None:
                 return SolverReport(
                     solver="grover", verdict=verdict, best_value=0.0,

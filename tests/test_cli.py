@@ -218,6 +218,30 @@ def test_numeric_options_below_one_rejected_before_loading(argv, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--synthetic", "unique", "--unwind", "0"], "must be >= 1, got 0"),
+    (["verify", "--dimacs", "missing.cnf", "--unwind", "-3"], "must be >= 1, got -3"),
+    (["sweep", "heatmap", "--out", "unused", "--max-degree", "0"], "must be >= 1, got 0"),
+    (["sweep", "heatmap", "--out", "unused", "--max-inverse-gap", "1"], "must be >= 2, got 1"),
+], ids=["unwind-synthetic", "unwind-dimacs", "max-degree", "max-inverse-gap"])
+def test_empty_range_options_rejected(argv, message, tmp_path, monkeypatch, capsys):
+    # --unwind 0 would be accepted and ignored by the synthetic and DIMACS
+    # sources; the heatmap bounds would give a header-only CSV
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_smallest_heatmap_grid_is_one_row(tmp_path, capsys):
+    assert main(["sweep", "heatmap", "--out", str(tmp_path), "--max-degree", "1",
+                 "--max-inverse-gap", "2"]) == 0
+    assert len((tmp_path / "heatmap.csv").read_text().splitlines()) == 2
+    capsys.readouterr()
+
+
 def test_parser_is_built_once_per_process():
     from qverify.cli import _build_parser
 

@@ -1,11 +1,12 @@
-"""Property tests for the simulator's layer kernels, the per-level
-evaluation behind the QAOA phase and the QSVT filter, and the bitmask CNF
-check, each against a slower reference."""
+"""Property tests for the simulator's layer kernels, Grover's one-pass
+schedule, the per-level evaluation behind the QAOA phase and the QSVT filter,
+and the bitmask CNF checks, each against a slower reference."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify.cnf import Clause, CnfFormula
+from qverify.cnf import Clause, CnfError, CnfFormula
 from qverify.simulator import (
     DiagonalHamiltonian,
     Statevector,
@@ -16,8 +17,13 @@ from qverify.simulator import (
     apply_diagonal_phase,
     apply_matrix,
     apply_rx_all,
+    grover_diffusion,
+    grover_states,
+    oracle_signs,
+    phase_oracle,
     uniform_superposition,
 )
+from qverify.solvers.grover import grover_schedule
 from qverify.solvers.filters import FilterPolynomial, eval_filter
 from qverify.solvers.vqa import vqe_state
 
@@ -117,10 +123,10 @@ def test_ansatz_matches_vqe_state_and_gate_reference(n, layers, data):
 
 
 @st.composite
-def wide_formulas(draw):
-    n = draw(st.integers(1, 130))
+def wide_formulas(draw, max_variables=130, max_clauses=8):
+    n = draw(st.integers(1, max_variables))
     clauses = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, max_clauses))):
         variables = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(5, n),
                                   unique=True))
         signs = draw(st.lists(st.booleans(), min_size=len(variables),
@@ -177,3 +183,72 @@ def test_per_level_falls_back_on_non_integer_or_wide_tables():
     ham = DiagonalHamiltonian(2, np.array([3.0, 0.0, 1.0, 1.0]))
     levels, top = ham._levels
     assert levels.tolist() == [3, 0, 1, 1] and top == 3
+
+
+def _grover_reference(formula: CnfFormula, extra: bool, iterations: int) -> Statevector:
+    n = formula.num_variables + (1 if extra else 0)
+    state = uniform_superposition(n)
+    for _ in range(iterations):
+        state = grover_diffusion(phase_oracle(state, formula, extra_control=extra))
+    return state
+
+
+def _assert_grover_points_bitwise(formula: CnfFormula, extra: bool, iterations) -> None:
+    signs = oracle_signs(formula, extra_control=extra)
+    states = list(grover_states(signs, iterations))
+    assert len(states) == len(iterations)
+    for t, state in zip(iterations, states):
+        # tobytes also tells -0.0 from 0.0, which array_equal would not
+        want = _grover_reference(formula, extra, t).amplitudes
+        assert state.amplitudes.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_formulas(max_variables=7, max_clauses=10), st.booleans())
+def test_grover_schedule_points_are_bitwise_the_step_by_step_loop(formula, extra):
+    num_qubits = formula.num_variables + (1 if extra else 0)
+    _assert_grover_points_bitwise(formula, extra,
+                                  [t for _, t in grover_schedule(num_qubits)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_formulas(max_variables=5), st.booleans(),
+       st.lists(st.integers(0, 12), min_size=1, max_size=6))
+def test_grover_states_take_counts_in_any_order(formula, extra, iterations):
+    _assert_grover_points_bitwise(formula, extra, iterations)
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["plain", "doubled"])
+@pytest.mark.parametrize("formula", [
+    CnfFormula(4, ()),                                                     # all marked
+    CnfFormula(3, (Clause.of(1, 2), Clause.of(1, -2), Clause.of(-1, 2),
+                   Clause.of(-1, -2))),                                    # none marked
+    CnfFormula(5, (Clause.of(1), Clause.of(-2), Clause.of(3, 4, 5))),
+], ids=["all-marked", "none-marked", "seven-marked"])
+def test_grover_schedule_points_at_the_marking_extremes(formula, extra):
+    num_qubits = formula.num_variables + (1 if extra else 0)
+    _assert_grover_points_bitwise(formula, extra,
+                                  [t for _, t in grover_schedule(num_qubits)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_formulas(max_variables=62), st.data())
+def test_first_satisfying_is_the_first_evaluate_hit(formula, data):
+    top = (1 << formula.num_variables) - 1
+    assignments = data.draw(st.lists(st.integers(0, top), max_size=24))
+    want = next((a for a in assignments if formula.evaluate(a)), None)
+    assert formula.first_satisfying(np.array(assignments, dtype=np.int64)) == want
+
+
+def test_first_satisfying_edges():
+    formula = CnfFormula(62, (Clause.of(62, -1), Clause.of(-61)))
+    empty = np.array([], dtype=np.int64)
+    assert formula.first_satisfying(empty) is None
+    assert formula.first_satisfying(np.array([0, 1 << 61, (1 << 61) | 1])) == 0
+    assert formula.first_satisfying(np.array([1, 1 << 60, (1 << 61) | 1])) == (1 << 61) | 1
+    assert formula.first_satisfying(np.array([1, 1 << 60])) is None
+    no_clauses = CnfFormula(3, ())
+    assert no_clauses.first_satisfying(np.array([5, 2])) == 5
+    assert no_clauses.first_satisfying(empty) is None
+    with pytest.raises(CnfError):
+        CnfFormula(63, ()).first_satisfying(empty)
