@@ -5,88 +5,25 @@ the synthetic catalog, or produced by a bounded model checker — is reduced to
 a QUBO whose zero set matches the satisfying assignments, handed to a
 simulated quantum solver, and every claimed witness is re-verified against
 the formula before it is reported.
+
+Only the entry points below are exported here; everything else is imported
+from its own module (`qverify.cnf`, `qverify.solvers`, ...).
 """
-from .checker import (
-    CheckerConfig,
-    CheckerError,
-    CheckerUnavailableError,
-    run_model_checker,
-)
-from .cnf import Clause, CnfError, CnfFormula, Literal, parse_dimacs
-from .oracle import BudgetExceededError, SpectrumSummary, enumerate_sat, qubo_spectrum
-from .optimizers import OptimizerSpec, minimize
-from .pipeline import Problem, build_problem, solve
-from .reduction import (
-    GapInfo,
-    IsingModel,
-    Qubo,
-    clause_penalty,
-    cnf_to_qubo,
-    compute_gap,
-    extend_assignment,
-    qubo_to_ising,
-    reduction_gadget,
-)
-from .solvers import (
-    BlockEncoding,
-    FilterPolynomial,
-    NoSolutionFound,
-    Sat,
-    SolverReport,
-    build_block_encoding,
-    choose_degree,
-    eval_filter,
-    filter_quality_mu,
-    solve_grover,
-    solve_qaoa,
-    solve_qsvt,
-    solve_vqe,
-)
-from .synthetic import generate_synthetic, instance_names
+from .cnf import parse_dimacs
+from .oracle import qubo_spectrum
+from .pipeline import build_problem, solve
+from .reduction import cnf_to_qubo, compute_gap, qubo_to_ising
+from .synthetic import generate_synthetic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockEncoding",
-    "BudgetExceededError",
-    "CheckerConfig",
-    "CheckerError",
-    "CheckerUnavailableError",
-    "Clause",
-    "CnfError",
-    "CnfFormula",
-    "FilterPolynomial",
-    "GapInfo",
-    "IsingModel",
-    "Literal",
-    "NoSolutionFound",
-    "OptimizerSpec",
-    "Problem",
-    "Qubo",
-    "Sat",
-    "SolverReport",
-    "SpectrumSummary",
-    "build_block_encoding",
     "build_problem",
-    "choose_degree",
-    "clause_penalty",
     "cnf_to_qubo",
     "compute_gap",
-    "enumerate_sat",
-    "eval_filter",
-    "extend_assignment",
-    "filter_quality_mu",
     "generate_synthetic",
-    "instance_names",
-    "minimize",
     "parse_dimacs",
     "qubo_spectrum",
     "qubo_to_ising",
-    "reduction_gadget",
-    "run_model_checker",
     "solve",
-    "solve_grover",
-    "solve_qaoa",
-    "solve_qsvt",
-    "solve_vqe",
 ]

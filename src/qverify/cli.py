@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="filter half-degree for qsvt (default: automatic)")
     verify.add_argument("--shots", type=_int_in(1), default=2048)
     verify.add_argument("--max-iterations", type=_int_in(1), default=200)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_int_in(0), default=0)
     verify.add_argument("--oracle-budget", type=_int_in(0, DEFAULT_BUDGET),
                         default=DEFAULT_BUDGET,
                         help=f"exhaustive-enumeration cap, in variables (0..{DEFAULT_BUDGET})")
@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--instance", action="append", default=None,
                       metavar="NAME[:k=v,...]")
     conv.add_argument("--runs", type=_int_in(1), default=5)
-    conv.add_argument("--seed", type=int, default=42)
+    conv.add_argument("--seed", type=_int_in(0), default=42)
     conv.add_argument("--max-iterations", type=_int_in(1), default=200)
     conv.add_argument("--jobs", type=_int_in(1), default=1)
 
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--instance", action="append", default=None,
                        metavar="NAME[:k=v,...]")
     rates.add_argument("--shots", type=_int_in(1), default=100_000)
-    rates.add_argument("--seed", type=int, default=42)
+    rates.add_argument("--seed", type=_int_in(0), default=42)
     rates.add_argument("--jobs", type=_int_in(1), default=1)
 
     heat = sweep_sub.add_parser("heatmap", help="filter quality over degree and gap")
@@ -130,6 +130,11 @@ def _load_formula(args) -> tuple[CnfFormula, str]:
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     formula, instance = _load_formula(args)
+    if formula.num_variables > DEFAULT_BUDGET:
+        # no solver takes more (the oracle's cap is the largest), and the
+        # reduction would first build Python objects for every declared variable
+        raise ValueError(f"{formula.num_variables} CNF variables exceed "
+                         f"{DEFAULT_BUDGET}, the most any solver takes")
     problem = build_problem(formula, oracle_budget=args.oracle_budget)
     optimizer = OptimizerSpec(kind=args.optimizer, max_iterations=args.max_iterations)
     report = solve(problem, args.solver, optimizer=optimizer, layers=args.layers,

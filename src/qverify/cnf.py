@@ -215,13 +215,10 @@ def satisfying_mask(formula: CnfFormula, chunk: int = 1 << 20) -> np.ndarray:
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
         idx = np.arange(start, stop, dtype=np.int64)
+        unset = ~idx
         acc = np.ones(stop - start, dtype=bool)
-        for cl in formula.clauses:
-            cl_mask = np.zeros(stop - start, dtype=bool)
-            for lit in cl.literals:
-                bit = (idx >> (lit.variable - 1)) & 1
-                cl_mask |= (bit == 0) if lit.negated else (bit == 1)
-            acc &= cl_mask
+        for pos, neg in formula._clause_masks:
+            acc &= ((idx & pos) != 0) | ((unset & neg) != 0)
         out[start:stop] = acc
     return out
 

@@ -17,8 +17,6 @@ KINDS = ("simultaneous-perturbation", "trust-region")
 class OptimizerSpec:
     kind: str = "trust-region"
     max_iterations: int = 200
-    tolerance: float = 1e-6
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -37,9 +35,8 @@ class OptimizationResult:
 
 def minimize(fn, x0, spec: OptimizerSpec, seed: int = 0) -> OptimizationResult:
     x0 = np.asarray(x0, dtype=np.float64)
-    effective_seed = spec.seed if spec.seed is not None else seed
     if spec.kind == "simultaneous-perturbation":
-        return _spsa(fn, x0, spec, effective_seed)
+        return _spsa(fn, x0, spec, seed)
     return _trust_region(fn, x0, spec)
 
 

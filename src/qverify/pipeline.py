@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -62,7 +61,6 @@ def build_problem(formula: CnfFormula, oracle_budget: int = DEFAULT_BUDGET) -> P
 
 
 def _solve_brute(problem: Problem, seed: int) -> SolverReport:
-    started = time.perf_counter()
     if problem.spectrum is None:
         raise ValueError("instance exceeds the oracle budget; pick a quantum solver")
     spectrum = problem.spectrum
@@ -73,7 +71,6 @@ def _solve_brute(problem: Problem, seed: int) -> SolverReport:
         solver="brute",
         verdict=verdict,
         best_value=float(spectrum.min_value),
-        wall_time_s=time.perf_counter() - started,
         config={"assignments": 1 << problem.qubo.num_vars},
         seed=seed,
     )

@@ -371,8 +371,7 @@ class GapInfo:
             raise ValueError("exact gap cannot undercut the estimate")
 
 
-def compute_gap(qubo: Qubo, exact: bool = False, budget: int = 24,
-                spectrum=None) -> GapInfo:
+def compute_gap(qubo: Qubo, exact: bool = False, spectrum=None) -> GapInfo:
     """Gap bound from term counts, optionally sharpened by full enumeration.
 
     A constant-zero objective (empty formula) has no spectral gap; bound_M is
@@ -385,7 +384,7 @@ def compute_gap(qubo: Qubo, exact: bool = False, budget: int = 24,
     if spectrum is None:
         from .oracle import qubo_spectrum
 
-        spectrum = qubo_spectrum(qubo, budget=budget)
+        spectrum = qubo_spectrum(qubo)
     nonzero = [v for v in spectrum.value_histogram if v != 0]
     if not nonzero or spectrum.max_value <= 0:
         return info

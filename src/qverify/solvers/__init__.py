@@ -12,7 +12,6 @@ from .report import (
     NoSolutionFound,
     Sat,
     SolverReport,
-    Verdict,
     first_verified,
     hamiltonian_from_ising,
     project_candidates,
@@ -33,7 +32,6 @@ __all__ = [
     "NoSolutionFound",
     "Sat",
     "SolverReport",
-    "Verdict",
     "build_block_encoding",
     "choose_degree",
     "eval_filter",

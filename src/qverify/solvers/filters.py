@@ -83,15 +83,15 @@ def filter_quality_mu(poly: FilterPolynomial, delta: float | None = None) -> flo
     return float(2.0 ** filter_quality_log2_mu(poly, delta))
 
 
-def choose_degree(delta: float, num_qubits: int, cap: int = DEGREE_CAP) -> int:
+def choose_degree(delta: float, num_qubits: int) -> int:
     """Smallest half-degree whose mu reaches 2^num_qubits.
 
     That makes the filtered mass of even an exponentially large non-solution
     subspace comparable to a single solution's.
     """
-    for d in range(1, cap + 1):
+    for d in range(1, DEGREE_CAP + 1):
         if filter_quality_log2_mu(FilterPolynomial(d, delta), delta) >= num_qubits:
             return d
     raise DegreeCapError(
-        f"no half-degree <= {cap} reaches mu >= 2^{num_qubits} at delta {delta}"
+        f"no half-degree <= {DEGREE_CAP} reaches mu >= 2^{num_qubits} at delta {delta}"
     )

@@ -10,7 +10,6 @@ control qubit halves the solution fraction and restores the sweep's coverage.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -36,7 +35,6 @@ def grover_schedule(num_qubits: int) -> list[tuple[int, int]]:
 
 
 def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> SolverReport:
-    started = time.perf_counter()
     n = formula.num_variables
     if n > GROVER_MAX_QUBITS:
         raise ValueError(f"{n} variables exceeds the Grover cap {GROVER_MAX_QUBITS}")
@@ -44,7 +42,7 @@ def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> So
     if not formula.clauses:
         return SolverReport(
             solver="grover", verdict=Sat(0), best_value=0.0, shots_used=0,
-            wall_time_s=time.perf_counter() - started, config=config, seed=seed,
+            config=config, seed=seed,
         )
 
     proj_mask = (1 << n) - 1
@@ -72,7 +70,6 @@ def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> So
                 return SolverReport(
                     solver="grover", verdict=verdict, best_value=0.0,
                     convergence_trace=trace, shots_used=shots_used,
-                    wall_time_s=time.perf_counter() - started,
                     config=config | {"doubled": extra, "guessed_k": k},
                     seed=seed,
                 )
@@ -82,7 +79,6 @@ def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> So
         best_value=1.0,
         convergence_trace=trace,
         shots_used=shots_used,
-        wall_time_s=time.perf_counter() - started,
         config=config,
         seed=seed,
     )

@@ -10,8 +10,6 @@ sampled fraction.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..cnf import CnfFormula
@@ -91,7 +89,6 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     ``degree`` is the half-degree d of F_{2d, delta}; by default the smallest
     d whose suppression covers the register size.
     """
-    started = time.perf_counter()
     n = ising.n
     if n > QSVT_MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the filtering cap {QSVT_MAX_QUBITS}")
@@ -133,7 +130,6 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
         verdict=verdict,
         best_value=float(min(observed)),
         shots_used=shots,
-        wall_time_s=time.perf_counter() - started,
         config=config,
         seed=seed,
         rate=float(rate),

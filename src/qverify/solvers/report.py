@@ -34,7 +34,6 @@ class SolverReport:
     best_value: float
     convergence_trace: list[tuple[int, float]] = field(default_factory=list)
     shots_used: int = 0
-    wall_time_s: float = 0.0
     config: dict = field(default_factory=dict)
     seed: int = 0
     rate: float | None = None

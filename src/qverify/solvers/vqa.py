@@ -9,8 +9,6 @@ arithmetic being right.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..cnf import CnfFormula
@@ -117,7 +115,6 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
            optimizer: OptimizerSpec | None, shots: int, seed: int) -> SolverReport:
     """Minimize the energy of circuit(ham, params), then sample the optimized
     state and CNF-check the candidates."""
-    started = time.perf_counter()
     if ising.n > VQA_MAX_QUBITS:
         raise ValueError(f"{ising.n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
     optimizer = optimizer or OptimizerSpec()
@@ -138,8 +135,7 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
               "max_iterations": optimizer.max_iterations, "shots": shots}
     return SolverReport(solver=solver, verdict=verdict, best_value=result.best_value,
                         convergence_trace=result.trace, shots_used=shots,
-                        wall_time_s=time.perf_counter() - started, config=config,
-                        seed=seed)
+                        config=config, seed=seed)
 
 
 def solve_qaoa(ising: IsingModel, formula: CnfFormula, *, layers: int = 3,

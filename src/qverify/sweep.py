@@ -11,10 +11,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .optimizers import KINDS, OptimizerSpec
-from .pipeline import build_problem, write_text_atomic
-from .solvers import Sat, solve_qsvt
+from .pipeline import build_problem, solve, write_text_atomic
+from .solvers import Sat
 from .solvers.filters import FilterPolynomial, filter_quality_log2_mu
-from .solvers.vqa import solve_qaoa, solve_vqe
 from .synthetic import generate_synthetic, resolve_params
 
 CONVERGENCE_HEADER = "instance,solver,optimizer,seed,iteration,normalized_value"
@@ -58,13 +57,11 @@ def normalize_trace(trace, optimum: float) -> list[float]:
 
 def _convergence_cell(cell) -> tuple[int, list[str]]:
     index, label, name, params, solver, optimizer_kind, seed, max_iterations = cell
-    formula = generate_synthetic(name, params)
-    problem = build_problem(formula)
+    problem = build_problem(generate_synthetic(name, params))
     if problem.spectrum is None:
         raise ValueError(f"{label} exceeds the oracle budget; no optimum to normalize by")
     spec = OptimizerSpec(kind=optimizer_kind, max_iterations=max_iterations)
-    solve = solve_qaoa if solver == "qaoa" else solve_vqe
-    report = solve(problem.ising, formula, optimizer=spec, seed=seed)
+    report = solve(problem, solver, optimizer=spec, seed=seed)
     curve = normalize_trace(report.convergence_trace, float(problem.spectrum.min_value))
     rows = [
         f"{label},{solver},{optimizer_kind},{seed},{i},{value!r}"
@@ -106,9 +103,8 @@ def sweep_convergence(out_dir: Path, instances=DEFAULT_CONVERGENCE_INSTANCES, *,
 
 def _rate_cell(cell) -> tuple[int, list[str]]:
     index, label, name, params, seed, shots = cell
-    formula = generate_synthetic(name, params)
-    problem = build_problem(formula)
-    report = solve_qsvt(problem.ising, formula, problem.gap, shots=shots, seed=seed)
+    problem = build_problem(generate_synthetic(name, params))
+    report = solve(problem, "qsvt", shots=shots, seed=seed)
     exact = "" if problem.gap.exact_gap is None else repr(float(problem.gap.exact_gap))
     verdict = "sat" if isinstance(report.verdict, Sat) else "none"
     row = (

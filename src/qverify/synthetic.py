@@ -27,12 +27,12 @@ from typing import Callable, Mapping
 
 from .cnf import Clause, CnfError, CnfFormula, Literal
 
-# A circuit bit is either a Python bool (constant) or a signed literal code.
-Bit = "int | bool"
-
 
 class _Builder:
-    """Collects clauses while allocating auxiliary variables past the values."""
+    """Collects clauses while allocating auxiliary variables past the values.
+
+    A circuit bit is either a Python bool (constant) or a signed literal code.
+    """
 
     def __init__(self, num_value_vars: int):
         self.num_vars = num_value_vars
@@ -209,13 +209,7 @@ def _build_xor(params):
     else:
         acc = 1
         for v in range(2, n):
-            nxt = b.fresh()
-            # nxt <-> acc xor v, one auxiliary per chain step
-            b.clause(-nxt, acc, v)
-            b.clause(-nxt, -acc, -v)
-            b.clause(nxt, -acc, v)
-            b.clause(nxt, acc, -v)
-            acc = nxt
+            acc = b.xor_gate(acc, v)  # one auxiliary per chain step
         b.assert_parity([acc, n], odd=True)
     return b.finish("xor")
 

@@ -198,6 +198,24 @@ def test_oracle_budget_above_cap_rejected_before_allocation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_formula_over_24_variables_rejected_before_reduction(tmp_path, capsys):
+    import tracemalloc
+
+    path = tmp_path / "declared.cnf"
+    path.write_text("p cnf 1000000 0\n")
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--dimacs", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qverify: 1000000 CNF variables exceed 24, the most any solver takes\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--dimacs", "missing.cnf", "--shots", "0"],
     ["verify", "--dimacs", "missing.cnf", "--solver", "brute", "--shots", "-5"],
@@ -223,7 +241,11 @@ def test_numeric_options_below_one_rejected_before_loading(argv, tmp_path,
     (["verify", "--dimacs", "missing.cnf", "--unwind", "-3"], "must be >= 1, got -3"),
     (["sweep", "heatmap", "--out", "unused", "--max-degree", "0"], "must be >= 1, got 0"),
     (["sweep", "heatmap", "--out", "unused", "--max-inverse-gap", "1"], "must be >= 2, got 1"),
-], ids=["unwind-synthetic", "unwind-dimacs", "max-degree", "max-inverse-gap"])
+    (["verify", "--dimacs", "missing.cnf", "--seed", "-5"], "must be >= 0, got -5"),
+    (["sweep", "convergence", "--out", "unused", "--seed", "-1"], "must be >= 0, got -1"),
+    (["sweep", "rates", "--out", "unused", "--seed", "-2"], "must be >= 0, got -2"),
+], ids=["unwind-synthetic", "unwind-dimacs", "max-degree", "max-inverse-gap",
+        "seed-verify", "seed-convergence", "seed-rates"])
 def test_empty_range_options_rejected(argv, message, tmp_path, monkeypatch, capsys):
     # --unwind 0 would be accepted and ignored by the synthetic and DIMACS
     # sources; the heatmap bounds would give a header-only CSV
