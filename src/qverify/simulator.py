@@ -7,6 +7,11 @@ Statevector, so the norm is checked after each of them; the inner kernels
 (`_gate_layer`, the CNOT ring, `grover_states`'s in-place pass) work on bare
 arrays, and their result is checked once, where it becomes a Statevector to be
 sampled, post-selected or returned.
+
+The circuit kernels also take a leading batch axis: a (B, 2^n) array holds B
+states, one per row, each with its own gates.  Every row is bitwise the state
+the same kernel gives for that row alone, and every row's norm is checked
+where the batch is returned.
 """
 from __future__ import annotations
 
@@ -29,19 +34,36 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [0, {MAX_QUBITS}]")
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.num_qubits,):
-            raise ValueError("amplitude length must be 2^num_qubits")
-        norm = float(np.sqrt(np.vdot(amps, amps).real))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _checked(self.num_qubits, amps, batch=False))
+
+    @classmethod
+    def _adopt(cls, num_qubits: int, amps: np.ndarray) -> Statevector:
+        """A Statevector around ``amps`` itself, checked and frozen in place
+        instead of copied; for arrays a kernel has just allocated."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "amplitudes", _checked(num_qubits, amps, batch=False))
+        return state
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def _checked(num_qubits: int, amps: np.ndarray, batch: bool) -> np.ndarray:
+    """``amps`` made read-only, after checking that it holds one state
+    (batch=False) or a (B, 2^n) batch of them, each of unit norm."""
+    if not 0 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [0, {MAX_QUBITS}]")
+    if amps.dtype != np.complex128 or amps.shape[-1:] != (1 << num_qubits,) \
+            or amps.ndim != (2 if batch else 1):
+        raise ValueError("amplitude length must be 2^num_qubits")
+    for row in amps.reshape(-1, amps.shape[-1]):
+        norm = float(np.sqrt(np.vdot(row, row).real))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
+    amps.setflags(write=False)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -76,7 +98,13 @@ class DiagonalHamiltonian:
         if self._levels is None:
             return fn(self.values)
         levels, top = self._levels
-        return fn(np.arange(top + 1, dtype=np.float64))[levels]
+        return fn(np.arange(top + 1, dtype=np.float64))[..., levels]
+
+    def phases(self, gammas) -> np.ndarray:
+        """exp(-i gamma H) for a scalar gamma, or one row per entry of a 1-D
+        array of gammas."""
+        factors = -1j * np.asarray(gammas, dtype=np.float64)[..., None]
+        return self.per_level(lambda values: np.exp(factors * values))
 
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
@@ -87,26 +115,39 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
 
 def uniform_superposition(num_qubits: int) -> Statevector:
     dim = 1 << num_qubits
-    return Statevector(num_qubits, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
+    return Statevector._adopt(num_qubits, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
+
+
+def _states(num_qubits: int, amps: np.ndarray):
+    """One Statevector for a single state; for a (B, 2^n) batch, the array
+    itself, read-only once every row's norm is checked."""
+    if amps.ndim == 1:
+        return Statevector._adopt(num_qubits, amps)
+    return _checked(num_qubits, amps, batch=True)
 
 
 def apply_diagonal_phase(state: Statevector, hamiltonian: DiagonalHamiltonian,
                          gamma: float) -> Statevector:
     if hamiltonian.num_qubits != state.num_qubits:
         raise ValueError("hamiltonian size does not match the state")
-    phases = hamiltonian.per_level(lambda values: np.exp(-1j * gamma * values))
-    return Statevector(state.num_qubits, state.amplitudes * phases)
+    return Statevector(state.num_qubits, state.amplitudes * hamiltonian.phases(gamma))
 
 
-def _rx_matrix(angle: float) -> np.ndarray:
+def _rx_matrix(angle) -> np.ndarray:
+    """RX(angle); for an array of angles, the matrices stacked into shape
+    angle.shape + (2, 2)."""
+    angle = np.asarray(angle, dtype=np.float64)
     c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    out = np.zeros(angle.shape + (2, 2), dtype=np.complex128)
+    out.real[..., 0, 0] = out.real[..., 1, 1] = c
+    out.imag[..., 0, 1] = out.imag[..., 1, 0] = -s
+    return out
 
 
 def _ry_matrices(angles: np.ndarray) -> np.ndarray:
-    """RY(angle) for each angle, stacked into shape (len(angles), 2, 2)."""
+    """RY(angle) for each angle, stacked into shape angles.shape + (2, 2)."""
     c, s = np.cos(angles / 2), np.sin(angles / 2)
-    return np.stack([c, -s, s, c], axis=-1).astype(np.complex128).reshape(-1, 2, 2)
+    return np.stack([c, -s, s, c], axis=-1).astype(np.complex128).reshape(*angles.shape, 2, 2)
 
 
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -121,9 +162,14 @@ def _gate_layer(amps: np.ndarray, matrices) -> np.ndarray:
     qubit just updated becomes the most significant one.  After n steps every
     qubit is back in place.  The product is one BLAS call per qubit, which
     rounds exactly as a per-qubit tensordot does.
+
+    A (B, 2^n) ``amps`` is a batch of B states, and each matrices[q] is then
+    a (B, 2, 2) stack; np.matmul makes the same BLAS product once per row,
+    so every row is bitwise what its state and matrices give alone.
     """
+    lead = amps.shape[:-1]
     for matrix in matrices:
-        amps = np.dot(matrix, amps.reshape(-1, 2).T).reshape(-1)
+        amps = np.matmul(matrix, amps.reshape(*lead, -1, 2).swapaxes(-1, -2)).reshape(*lead, -1)
     return amps
 
 
@@ -145,27 +191,54 @@ def apply_rx_all(state: Statevector, beta: float) -> Statevector:
     return Statevector(state.num_qubits, _gate_layer(state.amplitudes, [rx] * state.num_qubits))
 
 
+def qaoa_state(hamiltonian: DiagonalHamiltonian, gammas, betas,
+               state: Statevector | None = None):
+    """Alternate phase separation and transverse-field mixing, one pair per
+    layer, starting from ``state`` (default: the uniform superposition).
+
+    gammas and betas of shape (p,) give a Statevector.  Of shape (B, p) they
+    give B circuits at once: a read-only (B, 2^n) array whose row b is,
+    bitwise, the state for gammas[b] and betas[b].
+    """
+    gammas = np.asarray(gammas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    if gammas.shape != betas.shape or gammas.ndim not in (1, 2):
+        raise ValueError("need one beta per gamma")
+    n = hamiltonian.num_qubits
+    state = uniform_superposition(n) if state is None else state
+    if state.num_qubits != n:
+        raise ValueError("hamiltonian size does not match the state")
+    amps = np.broadcast_to(state.amplitudes, gammas.shape[:-1] + state.amplitudes.shape)
+    for gamma, beta in zip(gammas.T, betas.T):
+        amps = amps * hamiltonian.phases(gamma)
+        amps = _gate_layer(amps, [_rx_matrix(2.0 * beta)] * n)
+    return _states(n, amps)
+
+
 def apply_ansatz(state: Statevector, layers: int, params: np.ndarray,
-                 insert_y_at: int | None = None) -> Statevector:
+                 insert_y_at: int | None = None):
     """Hardware-efficient ansatz: per layer RY on each qubit then a CNOT ring,
     closed by a final RY layer.  Expects n * (layers + 1) parameters.
 
+    A (B, n * (layers + 1)) ``params`` gives B circuits at once: a read-only
+    (B, 2^n) array whose row b is, bitwise, the state for params[b].
     ``insert_y_at`` turns the RY of that parameter into Y RY(theta), the
     generator insertion behind the exact gradient.
     """
     n = state.num_qubits
+    count = n * (layers + 1)
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (n * (layers + 1),):
-        raise ValueError(f"expected {n * (layers + 1)} parameters, got {params.size}")
+    if params.ndim not in (1, 2) or params.shape[-1] != count:
+        raise ValueError(f"expected {count} parameters per circuit, got shape {params.shape}")
     gates = _ry_matrices(params)
     if insert_y_at is not None:
-        gates[insert_y_at] = _Y @ gates[insert_y_at]
-    amps = state.amplitudes
+        gates[..., insert_y_at, :, :] = _Y @ gates[..., insert_y_at, :, :]
+    amps = np.broadcast_to(state.amplitudes, params.shape[:-1] + state.amplitudes.shape)
     for layer in range(layers + 1):
-        amps = _gate_layer(amps, gates[layer * n:(layer + 1) * n])
+        amps = _gate_layer(amps, np.moveaxis(gates[..., layer * n:(layer + 1) * n, :, :], -3, 0))
         if layer < layers and n >= 2:
-            amps = amps[_cnot_ring(n)]
-    return Statevector(n, amps)
+            amps = amps[..., _cnot_ring(n)]
+    return _states(n, amps)
 
 
 def oracle_signs(formula: CnfFormula, extra_control: bool = False) -> np.ndarray:
@@ -230,7 +303,7 @@ def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Stat
     del amps
     flipped = signs < 0
     for t in iterations:
-        yield Statevector(num_qubits, np.where(flipped, *pairs[t]))
+        yield Statevector._adopt(num_qubits, np.where(flipped, *pairs[t]))
 
 
 def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
@@ -303,4 +376,4 @@ def post_select(state: Statevector, qubits, values) -> tuple[Statevector | None,
     prob = float(np.sum(np.abs(sub) ** 2))
     if prob <= 0.0:
         return None, 0.0
-    return Statevector(n - len(qubits), sub / np.sqrt(prob)), prob
+    return Statevector._adopt(n - len(qubits), sub / np.sqrt(prob)), prob

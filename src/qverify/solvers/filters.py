@@ -87,11 +87,16 @@ def choose_degree(delta: float, num_qubits: int) -> int:
     """Smallest half-degree whose mu reaches 2^num_qubits.
 
     That makes the filtered mass of even an exponentially large non-solution
-    subspace comparable to a single solution's.
+    subspace comparable to a single solution's.  Every d up to the cap is
+    scored in one vectorized `_cheb_signed_log` call.
     """
-    for d in range(1, DEGREE_CAP + 1):
-        if filter_quality_log2_mu(FilterPolynomial(d, delta), delta) >= num_qubits:
-            return d
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie strictly between 0 and 1")
+    degrees = np.arange(1, DEGREE_CAP + 1)
+    _, log_0 = _cheb_signed_log(degrees, _argument(np.float64(0.0), delta))
+    reached = np.flatnonzero(2.0 * log_0 / np.log(2.0) >= num_qubits)
+    if reached.size:
+        return int(degrees[reached[0]])
     raise DegreeCapError(
         f"no half-degree <= {DEGREE_CAP} reaches mu >= 2^{num_qubits} at delta {delta}"
     )

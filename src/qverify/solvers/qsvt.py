@@ -103,7 +103,7 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     amps = np.empty(2 * dim, dtype=np.complex128)
     amps[:dim] = filtered / np.sqrt(dim)
     amps[dim:] = np.sqrt(np.maximum(0.0, 1.0 - filtered**2)) / np.sqrt(dim)
-    joint = Statevector(n + 1, amps)
+    joint = Statevector._adopt(n + 1, amps)
     _, rate = post_select(joint, [n], [0])
 
     sample_seed, = spawn_seeds(seed, 1)
@@ -117,8 +117,7 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
             f"no verified witness among {sum(kept.values())} post-selected samples"
         )
 
-    values = ham.values
-    observed = [values[o % dim] for o in counts]
+    observed = ham.values[np.fromiter(counts, dtype=np.int64, count=len(counts)) % dim]
     config = {
         "degree": poly.degree,
         "delta": delta,
@@ -128,7 +127,7 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     return SolverReport(
         solver="qsvt",
         verdict=verdict,
-        best_value=float(min(observed)),
+        best_value=float(observed.min()),
         shots_used=shots,
         config=config,
         seed=seed,

@@ -18,12 +18,13 @@ from ..simulator import (
     DiagonalHamiltonian,
     Statevector,
     apply_ansatz,
-    apply_diagonal_phase,
-    apply_rx_all,
+    qaoa_state,
     sample,
     spawn_seeds,
     uniform_superposition,
 )
+# perfbench/spans.py wraps these names here; they stay bound though unused
+from ..simulator import apply_diagonal_phase, apply_rx_all  # noqa: F401
 from .report import (
     NoSolutionFound,
     SolverReport,
@@ -36,27 +37,15 @@ from .report import (
 VQA_MAX_QUBITS = 20
 
 
-def qaoa_state(hamiltonian: DiagonalHamiltonian, gammas, betas,
-               state: Statevector | None = None) -> Statevector:
-    """Alternate phase separation and transverse-field mixing, one pair per
-    layer, starting from ``state`` (default: the uniform superposition)."""
-    if len(gammas) != len(betas):
-        raise ValueError("need one beta per gamma")
-    if state is None:
-        state = uniform_superposition(hamiltonian.num_qubits)
-    for gamma, beta in zip(gammas, betas):
-        state = apply_diagonal_phase(state, hamiltonian, gamma)
-        state = apply_rx_all(state, beta)
-    return state
-
-
 def _ground_state(n: int) -> Statevector:
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = 1.0
-    return Statevector(n, amps)
+    return Statevector._adopt(n, amps)
 
 
-def vqe_state(n: int, layers: int, params) -> Statevector:
+def vqe_state(n: int, layers: int, params):
+    """The ansatz from |0...0>; a (B, P) ``params`` gives a batch, as
+    `apply_ansatz` does."""
     return apply_ansatz(_ground_state(n), layers, params)
 
 
@@ -114,18 +103,21 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
            x0_range: tuple[float, float], num_params: int, layers: int,
            optimizer: OptimizerSpec | None, shots: int, seed: int) -> SolverReport:
     """Minimize the energy of circuit(ham, params), then sample the optimized
-    state and CNF-check the candidates."""
+    state and CNF-check the candidates.  ``circuit`` takes one parameter
+    vector or a (B, P) batch of them, as `qaoa_state` and `vqe_state` do."""
     if ising.n > VQA_MAX_QUBITS:
         raise ValueError(f"{ising.n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
     optimizer = optimizer or OptimizerSpec()
     ham = hamiltonian_from_ising(ising)
     init_seed, opt_seed, sample_seed = spawn_seeds(seed, 3)
 
-    def objective(params: np.ndarray) -> float:
-        return expectation(circuit(ham, params).probabilities(), ham.values)
+    def energies(points: np.ndarray) -> list[float]:
+        # one circuit batch; each row's energy is the single-state dot product
+        probabilities = np.abs(circuit(ham, points)) ** 2
+        return [expectation(row, ham.values) for row in probabilities]
 
     x0 = np.random.default_rng(init_seed).uniform(*x0_range, size=num_params)
-    result = minimize(objective, x0, optimizer, seed=opt_seed)
+    result = minimize(None, x0, optimizer, seed=opt_seed, fn_batch=energies)
     counts = sample(circuit(ham, result.best_params), shots, sample_seed)
     candidates = project_candidates(counts, formula.num_variables)
     verdict = first_verified(formula, (a for a, _ in candidates))
@@ -141,8 +133,8 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
 def solve_qaoa(ising: IsingModel, formula: CnfFormula, *, layers: int = 3,
                optimizer: OptimizerSpec | None = None, shots: int = 2048,
                seed: int = 0) -> SolverReport:
-    def circuit(ham: DiagonalHamiltonian, params: np.ndarray) -> Statevector:
-        return qaoa_state(ham, params[:layers], params[layers:])
+    def circuit(ham: DiagonalHamiltonian, params: np.ndarray):
+        return qaoa_state(ham, params[..., :layers], params[..., layers:])
 
     return _solve("qaoa", ising, formula, circuit, (0.0, np.pi / 4), 2 * layers,
                   layers, optimizer, shots, seed)
@@ -151,7 +143,7 @@ def solve_qaoa(ising: IsingModel, formula: CnfFormula, *, layers: int = 3,
 def solve_vqe(ising: IsingModel, formula: CnfFormula, *, layers: int = 2,
               optimizer: OptimizerSpec | None = None, shots: int = 2048,
               seed: int = 0) -> SolverReport:
-    def circuit(ham: DiagonalHamiltonian, params: np.ndarray) -> Statevector:
+    def circuit(ham: DiagonalHamiltonian, params: np.ndarray):
         return vqe_state(ising.n, layers, params)
 
     return _solve("vqe", ising, formula, circuit, (-np.pi, np.pi), ising.n * (layers + 1),

@@ -11,10 +11,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .optimizers import KINDS, OptimizerSpec
+from .oracle import DEFAULT_BUDGET
 from .pipeline import build_problem, solve, write_text_atomic
 from .solvers import Sat
 from .solvers.filters import FilterPolynomial, filter_quality_log2_mu
-from .synthetic import generate_synthetic, resolve_params
+from .synthetic import generate_synthetic, value_bit_count
 
 CONVERGENCE_HEADER = "instance,solver,optimizer,seed,iteration,normalized_value"
 RATES_HEADER = "instance,n_qubits,gap_estimated,gap_exact,degree,rate,verdict"
@@ -28,7 +29,13 @@ DEFAULT_RATE_INSTANCES = (
 
 
 def parse_instance_spec(text: str) -> tuple[str, str, dict[str, int]]:
-    """'name' or 'name:key=val,key=val' -> (label, name, params)."""
+    """'name' or 'name:key=val,key=val' -> (label, name, params).
+
+    The parameters are validated here, before any worker starts or any
+    formula is built, and so is the size: a formula with more value
+    variables than the largest solver takes would only be built to be
+    rejected.
+    """
     name, _, tail = text.partition(":")
     params: dict[str, int] = {}
     if tail:
@@ -37,7 +44,10 @@ def parse_instance_spec(text: str) -> tuple[str, str, dict[str, int]]:
             if not value:
                 raise ValueError(f"malformed instance parameter {item!r} in {text!r}")
             params[key.strip()] = int(value)
-    resolve_params(name, params)  # validate early, before workers start
+    bits = value_bit_count(name, params)
+    if bits > DEFAULT_BUDGET:
+        raise ValueError(f"{text}: {bits} CNF variables exceed {DEFAULT_BUDGET}, "
+                         "the most any solver takes")
     return text, name, params
 
 

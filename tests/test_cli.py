@@ -217,6 +217,30 @@ def test_formula_over_24_variables_rejected_before_reduction(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--synthetic", "xor:n=200000"],
+    ["sweep", "rates", "--out", "unused", "--instance", "addition:bits=50000"],
+    ["sweep", "convergence", "--out", "unused", "--instance", "or:n=3",
+     "--instance", "xor:n=200000"],
+], ids=["verify", "rates", "convergence"])
+def test_catalog_instance_over_24_variables_rejected_before_building(argv, capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # each spec asks for 200000 value variables
+    assert captured.err == (f"qverify: {argv[-1]}: 200000 CNF variables exceed 24, "
+                            "the most any solver takes\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--dimacs", "missing.cnf", "--shots", "0"],
     ["verify", "--dimacs", "missing.cnf", "--solver", "brute", "--shots", "-5"],
     ["verify", "--dimacs", "missing.cnf", "--max-iterations", "0"],
