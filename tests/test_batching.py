@@ -126,7 +126,7 @@ def _assert_same_run(got, want):
 
 
 def _landscape(weights):
-    """A bumpy objective; the recorded points show the order of the calls."""
+    """A bumpy objective with one minimum near the origin."""
     def fn(x):
         return float(np.sum(weights[:x.size] * np.cos(3.0 * x)) + np.dot(x, x))
     return fn
@@ -202,7 +202,12 @@ def test_batched_gate_layer_rows_are_the_single_state_layers(n, batch, seed):
     matrices = rng.normal(size=(n, batch, 2, 2)) + 1j * rng.normal(size=(n, batch, 2, 2))
     out = _gate_layer(rows, matrices)
     for b in range(batch):
-        assert out[b].tobytes() == _gate_layer(rows[b], matrices[:, b]).tobytes()
+        # the single-state layer as it was written before the batch axis
+        want = rows[b]
+        for matrix in matrices[:, b]:
+            want = np.dot(matrix, want.reshape(-1, 2).T).reshape(-1)
+        assert _gate_layer(rows[b], matrices[:, b]).tobytes() == want.tobytes()
+        assert out[b].tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,13 +238,16 @@ def test_batched_ansatz_rows_are_the_single_states(n, batch, layers, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(angles)
-def test_stacked_matrices_are_the_single_ones(angle):
-    stacked = np.array([angle, 0.5 * angle, -0.0])
-    for rows, single in ((_rx_matrix(stacked), _rx_matrix), (_ry_matrices(stacked), None)):
-        for i, value in enumerate(stacked):
-            want = single(value) if single else _ry_matrices(np.array([value]))[0]
-            assert rows[i].tobytes() == want.tobytes()
+@given(st.lists(angles, min_size=1, max_size=5))
+def test_stacked_gate_matrices_are_the_single_ones(values):
+    stacked = np.array([*values, -0.0])
+    for i, angle in enumerate(stacked):
+        # the RX matrix as it was built before it took arrays
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
+        want = np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+        assert _rx_matrix(angle).tobytes() == want.tobytes()
+        assert _rx_matrix(stacked)[i].tobytes() == want.tobytes()
+        assert _ry_matrices(stacked)[i].tobytes() == _ry_matrices(stacked[i:i + 1])[0].tobytes()
 
 
 def test_adopt_freezes_the_array_itself_after_checking_it():
