@@ -14,7 +14,9 @@ import numpy as np
 
 from ..cnf import CnfFormula
 from ..reduction import GapInfo, IsingModel
-from ..simulator import DiagonalHamiltonian, Statevector, post_select, sample, spawn_seeds
+from ..simulator import DiagonalHamiltonian, Statevector, sample, spawn_seeds
+# perfbench/spans.py wraps this name here; it stays bound though unused
+from ..simulator import post_select  # noqa: F401
 from .filters import FilterPolynomial, choose_degree, eval_filter
 from .report import (
     NoSolutionFound,
@@ -104,7 +106,7 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     amps[:dim] = filtered / np.sqrt(dim)
     amps[dim:] = np.sqrt(np.maximum(0.0, 1.0 - filtered**2)) / np.sqrt(dim)
     joint = Statevector._adopt(n + 1, amps)
-    _, rate = post_select(joint, [n], [0])
+    rate = float(np.sum(np.abs(amps[:dim]) ** 2))  # post-selecting ancilla 0
 
     sample_seed, = spawn_seeds(seed, 1)
     counts = sample(joint, shots, sample_seed)
@@ -131,6 +133,6 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
         shots_used=shots,
         config=config,
         seed=seed,
-        rate=float(rate),
+        rate=rate,
         rate_sampled=rate_sampled,
     )

@@ -35,6 +35,9 @@ from .report import (
 )
 
 VQA_MAX_QUBITS = 20
+# amplitudes per circuit batch (1 MB): memory stays a few such arrays
+# however many probes an optimizer names at once
+BATCH_AMPLITUDES = 1 << 16
 
 
 def _ground_state(n: int) -> Statevector:
@@ -111,10 +114,16 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
     ham = hamiltonian_from_ising(ising)
     init_seed, opt_seed, sample_seed = spawn_seeds(seed, 3)
 
+    rows = max(1, BATCH_AMPLITUDES >> ising.n)
+
     def energies(points: np.ndarray) -> list[float]:
-        # one circuit batch; each row's energy is the single-state dot product
-        probabilities = np.abs(circuit(ham, points)) ** 2
-        return [expectation(row, ham.values) for row in probabilities]
+        # circuit batches of at most `rows` points; each row's energy is the
+        # single-state dot product, whatever batch the row ran in
+        out = []
+        for start in range(0, len(points), rows):
+            probabilities = np.abs(circuit(ham, points[start:start + rows])) ** 2
+            out += [expectation(row, ham.values) for row in probabilities]
+        return out
 
     x0 = np.random.default_rng(init_seed).uniform(*x0_range, size=num_params)
     result = minimize(None, x0, optimizer, seed=opt_seed, fn_batch=energies)

@@ -46,7 +46,7 @@ def parse_instance_spec(text: str) -> tuple[str, str, dict[str, int]]:
             params[key.strip()] = int(value)
     bits = value_bit_count(name, params)
     if bits > DEFAULT_BUDGET:
-        raise ValueError(f"{text}: {bits} CNF variables exceed {DEFAULT_BUDGET}, "
+        raise ValueError(f"{text}: {bits} value variables exceed {DEFAULT_BUDGET}, "
                          "the most any solver takes")
     return text, name, params
 

@@ -32,6 +32,7 @@ from qverify.solvers.filters import (
     filter_quality_log2_mu,
 )
 from qverify.solvers.report import Sat, expectation
+from qverify.solvers import vqa
 from qverify.solvers.vqa import solve_qaoa, solve_vqe, vqe_state
 from qverify.synthetic import generate_synthetic
 
@@ -192,6 +193,40 @@ def test_vqa_batch_objective_is_bitwise_the_single_state_one(kind, solver):
     spec = OptimizerSpec(kind=kind, max_iterations=8)
     _assert_same_run(minimize(single, x0, spec, seed=9, fn_batch=batch),
                      _reference(single, x0, spec, 9))
+
+
+@pytest.mark.parametrize("solver", [solve_qaoa, solve_vqe])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_cap_leaves_the_report_unchanged(monkeypatch, solver, kind):
+    problem = _golden_problem("unique")
+    spec = OptimizerSpec(kind=kind, max_iterations=6)
+
+    def run(cap):
+        monkeypatch.setattr(vqa, "BATCH_AMPLITUDES", cap)
+        report = solver(problem.ising, problem.formula, layers=2, optimizer=spec,
+                        shots=64, seed=3)
+        return report.verdict, report.best_value.hex(), report.convergence_trace
+
+    # one row per batch, a few rows, and every probe in one batch
+    n = problem.ising.n
+    assert run(1) == run(3 << n) == run(1 << 40)
+
+
+def test_vqe_peak_memory_stays_a_few_batches_at_14_qubits():
+    import tracemalloc
+
+    problem = build_problem(generate_synthetic("or", {"n": 14}))
+    assert problem.ising.n == 14
+    spec = OptimizerSpec(kind="trust-region", max_iterations=1)
+    tracemalloc.start()
+    try:
+        solve_vqe(problem.ising, problem.formula, optimizer=spec, shots=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 42 coordinate probes of 256 KB states, in 1 MB batches: a single
+    # 42-row batch array alone would take 10.5 MB
+    assert peak < 8 << 20
 
 
 @settings(max_examples=40, deadline=None)

@@ -236,7 +236,7 @@ def test_catalog_instance_over_24_variables_rejected_before_building(argv, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     # each spec asks for 200000 value variables
-    assert captured.err == (f"qverify: {argv[-1]}: 200000 CNF variables exceed 24, "
+    assert captured.err == (f"qverify: {argv[-1]}: 200000 value variables exceed 24, "
                             "the most any solver takes\n")
 
 
