@@ -40,7 +40,9 @@ class Statevector:
     @classmethod
     def _adopt(cls, num_qubits: int, amps: np.ndarray) -> Statevector:
         """A Statevector around ``amps`` itself, checked and frozen in place
-        instead of copied; for arrays a kernel has just allocated."""
+        instead of copied; for arrays a kernel has just allocated.  Used
+        where the copy showed in paired benchmark runs: the start states,
+        built once per circuit batch, and QSVT's 2^(n+1) joint state."""
         state = object.__new__(cls)
         object.__setattr__(state, "num_qubits", num_qubits)
         object.__setattr__(state, "amplitudes", _checked(num_qubits, amps, batch=False))
@@ -116,14 +118,6 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
 def uniform_superposition(num_qubits: int) -> Statevector:
     dim = 1 << num_qubits
     return Statevector._adopt(num_qubits, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
-
-
-def _states(num_qubits: int, amps: np.ndarray):
-    """One Statevector for a single state; for a (B, 2^n) batch, the array
-    itself, read-only once every row's norm is checked."""
-    if amps.ndim == 1:
-        return Statevector._adopt(num_qubits, amps)
-    return _checked(num_qubits, amps, batch=True)
 
 
 def apply_diagonal_phase(state: Statevector, hamiltonian: DiagonalHamiltonian,
@@ -212,7 +206,7 @@ def qaoa_state(hamiltonian: DiagonalHamiltonian, gammas, betas,
     for gamma, beta in zip(gammas.T, betas.T):
         amps = amps * hamiltonian.phases(gamma)
         amps = _gate_layer(amps, [_rx_matrix(2.0 * beta)] * n)
-    return _states(n, amps)
+    return Statevector(n, amps) if amps.ndim == 1 else _checked(n, amps, batch=True)
 
 
 def apply_ansatz(state: Statevector, layers: int, params: np.ndarray,
@@ -238,7 +232,7 @@ def apply_ansatz(state: Statevector, layers: int, params: np.ndarray,
         amps = _gate_layer(amps, np.moveaxis(gates[..., layer * n:(layer + 1) * n, :, :], -3, 0))
         if layer < layers and n >= 2:
             amps = amps[..., _cnot_ring(n)]
-    return _states(n, amps)
+    return Statevector(n, amps) if amps.ndim == 1 else _checked(n, amps, batch=True)
 
 
 def oracle_signs(formula: CnfFormula, extra_control: bool = False) -> np.ndarray:
@@ -303,7 +297,7 @@ def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Stat
     del amps
     flipped = signs < 0
     for t in iterations:
-        yield Statevector._adopt(num_qubits, np.where(flipped, *pairs[t]))
+        yield Statevector(num_qubits, np.where(flipped, *pairs[t]))
 
 
 def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
@@ -376,4 +370,4 @@ def post_select(state: Statevector, qubits, values) -> tuple[Statevector | None,
     prob = float(np.sum(np.abs(sub) ** 2))
     if prob <= 0.0:
         return None, 0.0
-    return Statevector._adopt(n - len(qubits), sub / np.sqrt(prob)), prob
+    return Statevector(n - len(qubits), sub / np.sqrt(prob)), prob
