@@ -205,21 +205,37 @@ MAX_MASK_VARIABLES = 24
 def satisfying_mask(formula: CnfFormula, chunk: int = 1 << 20) -> np.ndarray:
     """Boolean array over all 2^n assignments, True where the formula holds.
 
-    Evaluated in chunks to bound peak memory; requires n <= 24.
+    A clause is false exactly on the sub-cube where each of its literals
+    takes its falsifying value, so every clause clears one strided slice.
+    The array is walked in aligned chunks of the largest power of two up to
+    ``chunk`` entries: a chunk's high bits decide which clauses touch it, and
+    their low literals index the slice within it.  Requires n <= 24.
     """
     n = formula.num_variables
     if n > MAX_MASK_VARIABLES:
         raise CnfError(f"mask over {n} variables exceeds the {MAX_MASK_VARIABLES}-bit cap")
-    size = 1 << n
-    out = np.empty(size, dtype=bool)
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        idx = np.arange(start, stop, dtype=np.int64)
-        unset = ~idx
-        acc = np.ones(stop - start, dtype=bool)
-        for pos, neg in formula._clause_masks:
-            acc &= ((idx & pos) != 0) | ((unset & neg) != 0)
-        out[start:stop] = acc
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    k = min(n, chunk.bit_length() - 1)
+    out = np.ones(1 << n, dtype=bool)
+    # axis 0 is the chunk; axis 1 + i is bit k - 1 - i of the assignment
+    cube = out.reshape((-1,) + (2,) * k)
+    cuts = []
+    for cl in formula.clauses:
+        high = falsified = 0
+        index = [slice(None)] * k
+        for lit in cl.literals:
+            bit = lit.variable - 1
+            if bit >= k:
+                high |= 1 << (bit - k)
+                falsified |= lit.negated << (bit - k)
+            else:
+                index[k - 1 - bit] = int(lit.negated)
+        cuts.append((high, falsified, tuple(index)))
+    for h in range(cube.shape[0]):
+        for high, falsified, index in cuts:
+            if h & high == falsified:
+                cube[(h, *index)] = False
     return out
 
 

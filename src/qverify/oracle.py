@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .cnf import CnfFormula, satisfying_mask
-from .reduction import Original, Qubo
+from .reduction import Original, Qubo, _quadratic_table
 
 DEFAULT_BUDGET = 24
 
@@ -58,37 +58,118 @@ class SpectrumSummary:
         return tuple(self.satisfying.tolist())
 
 
-def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values ascending, their counts).
+# One block (the whole table) up to ONE_BLOCK_VARIABLES, so a 2^16 solver
+# table takes a single pass; above that, blocks of 2^BLOCK_BITS int64 values
+# (128 KiB) are walked while they sit in cache.
+ONE_BLOCK_VARIABLES = 16
+BLOCK_BITS = 14
 
-    Reduced objectives are small non-negative integers, so a bincount is
-    enough; anything else (a hand-built QUBO) falls back to sorting.
+
+def _blocks(upper: np.ndarray, offset: int, m: int):
+    """Yield (h, block): x^T U x + offset over x = h * 2^m + lo, U = ``upper``.
+
+    The low m bits form the block, built once by `_quadratic_table`.  Setting
+    high bit b adds the linear column sum_j lo_j U[j, m + b] over the low
+    bits, plus a scalar read from the quadratic table of the high bits alone;
+    h walks in Gray-code order, so each next block is one column and one
+    scalar away from the last.  The block is updated in place.
     """
-    if values.min() >= 0 and values.max() < values.size:
-        counts = np.bincount(values)
-        keys = np.flatnonzero(counts)
-        return keys, counts[keys]
-    return np.unique(values, return_counts=True)
+    n = upper.shape[0]
+    block = _quadratic_table(upper[:m, :m], offset)
+    high = _quadratic_table(upper[m:, m:], 0)
+    # columns[b][lo] = sum_j lo_j U[j, m + b], all doubled up one low bit at a time
+    columns = np.zeros((n - m, 1 << m), dtype=np.int64)
+    for j in range(m):
+        np.add(columns[:, :1 << j], upper[j, m:, None], out=columns[:, 1 << j:2 << j])
+    h = 0
+    yield h, block
+    for g in range(1, 1 << (n - m)):
+        b = (g & -g).bit_length() - 1
+        nxt = h ^ (1 << b)
+        if nxt > h:
+            block += columns[b]
+        else:
+            block -= columns[b]
+        block += high[nxt] - high[h]
+        h = nxt
+        yield h, block
+
+
+def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sum (keys, counts) pairs into one pair with distinct ascending keys."""
+    keys, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([c for _, c in parts]))
+    return keys, counts
+
+
+def _stream(qubo: Qubo):
+    """(distinct values, their counts, zero mask or None) in one block walk.
+
+    Values are walked shifted by -lower, the sum of the offset and every
+    negative coefficient, so they lie in 0..span-1.  A span no wider
+    than a block is bincounted; a wider one (some hand-built QUBOs) is
+    reduced per block by `np.unique`, and the pending blocks are merged once
+    they hold as many keys as the merged part.  Where a block holds objective
+    0, its zero positions are ORed into a mask over the original-variable
+    assignments.
+    """
+    n = qubo.num_vars
+    m = n if n <= ONE_BLOCK_VARIABLES else BLOCK_BITS
+    q = qubo.dense()
+    upper = np.triu(q) + np.tril(q, -1).T
+    lower = qubo.offset + int(upper[upper < 0].sum())
+    span = qubo.offset + int(upper[upper > 0].sum()) - lower + 1
+    bins = np.zeros(span, dtype=np.int64) if span <= 1 << m else None
+    merged = (np.empty(0, dtype=np.int64),) * 2
+    pending: list = []
+    waiting = 0
+    zero = -lower
+    mask = None
+    for h, block in _blocks(upper, qubo.offset - lower, m):
+        if bins is not None:
+            counts = np.bincount(block, minlength=span)
+            bins += counts
+            zeros = counts[zero] if 0 <= zero < span else 0
+        else:
+            keys, counts = np.unique(block, return_counts=True)
+            pending.append((keys, counts))
+            waiting += keys.size
+            if waiting >= merged[0].size:
+                merged = _merge([merged, *pending])
+                pending, waiting = [], 0
+            zeros = zero in keys
+        if zeros:
+            if mask is None:
+                mask = np.zeros(1 << qubo.num_original, dtype=bool)
+            hit = block == zero
+            if hit.size > mask.size:
+                # rows are auxiliary bit patterns, columns original assignments
+                hit = hit.reshape(-1, mask.size).any(axis=0)
+            start = (h << m) & (mask.size - 1)
+            mask[start:start + hit.size] |= hit
+    if bins is None:
+        keys, counts = _merge([merged, *pending])
+    else:
+        keys = np.flatnonzero(bins)
+        counts = bins[keys]
+    return keys + lower, counts, mask
 
 
 def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET) -> SpectrumSummary:
+    """Histogram, extremes and satisfying set of the objective over all 2^n
+    assignments, streamed in blocks without building the 2^n table."""
     _check_budget(qubo.num_vars, budget, "spectrum enumeration")
     for v in qubo.variable_map[: qubo.num_original]:
         if not isinstance(v, Original):
             raise ValueError("original variables must form the index prefix")
-    values = qubo.objective_table()
-    keys, counts = _histogram(values)
+    keys, counts, mask = _stream(qubo)
     histogram = {int(v): int(c) for v, c in zip(keys, counts)}
     min_value = int(keys[0])
     max_value = int(keys[-1])
     satisfying = np.empty(0, dtype=np.int64)
     if min_value == 0:
-        zero = values == 0
-        del values  # free the table before the projection allocates
-        if qubo.num_auxiliary:
-            # rows are auxiliary bit patterns, columns original assignments
-            zero = zero.reshape(-1, 1 << qubo.num_original).any(axis=0)
-        satisfying = np.flatnonzero(zero)
+        satisfying = np.flatnonzero(mask)
     return SpectrumSummary(
         min_value=min_value,
         min_count=histogram[min_value],

@@ -115,6 +115,19 @@ def test_satisfying_mask_chunks_agree():
     assert np.array_equal(satisfying_mask(f, chunk=64), satisfying_mask(f))
 
 
+def test_satisfying_mask_is_the_same_for_every_chunk_size():
+    # chunks of 1, 2, 4, ... entries up to beyond the whole array, and sizes
+    # that are no power of two
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        f = random_formula(rng, max_vars=9, max_width=6)
+        want = [f.evaluate(a) for a in range(1 << f.num_variables)]
+        for chunk in (1, 2, 3, 8, 100, 1 << f.num_variables, 1 << 12):
+            assert satisfying_mask(f, chunk=chunk).tolist() == want, (f, chunk)
+    with pytest.raises(ValueError):
+        satisfying_mask(f, chunk=0)
+
+
 def test_mask_budget():
     with pytest.raises(CnfError, match="cap"):
         satisfying_mask(CnfFormula(25, ()))

@@ -8,9 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qverify import oracle
 from qverify.cnf import Clause, CnfFormula
 from qverify.oracle import enumerate_sat, qubo_spectrum
-from qverify.reduction import Original, Qubo, _quadratic_table, cnf_to_qubo, qubo_to_ising
+from qverify.reduction import (
+    Auxiliary,
+    Original,
+    Qubo,
+    _quadratic_table,
+    cnf_to_qubo,
+    qubo_to_ising,
+)
 
 
 @st.composite
@@ -151,3 +159,108 @@ def test_qubo_to_ising_in_quarters_equals_fraction_reference(qubo):
     assert list(ising.couplings.items()) == list(couplings.items())
     assert ising.offset == offset
     assert all(isinstance(v, Fraction) for v in (*ising.h, *ising.couplings.values()))
+
+
+def _full_table_spectrum(qubo):
+    """Histogram and satisfying set read off the whole 2^n table."""
+    table = _quadratic_table(qubo.dense(), qubo.offset)
+    keys, counts = np.unique(table, return_counts=True)
+    satisfying = np.empty(0, dtype=np.int64)
+    if keys[0] == 0:
+        zero = (table == 0).reshape(-1, 1 << qubo.num_original).any(axis=0)
+        satisfying = np.flatnonzero(zero)
+    return dict(zip(keys.tolist(), counts.tolist())), satisfying
+
+
+def _assert_streamed_matches_full_table(qubo):
+    summary = qubo_spectrum(qubo)
+    histogram, satisfying = _full_table_spectrum(qubo)
+    assert list(summary.value_histogram.items()) == list(histogram.items())
+    assert summary.min_value == min(histogram)
+    assert summary.max_value == max(histogram)
+    assert summary.min_count == histogram[summary.min_value]
+    assert summary.satisfying.dtype == np.int64
+    assert np.array_equal(summary.satisfying, satisfying)
+
+
+@st.composite
+def prefixed_qubos(draw, max_vars=8):
+    """QUBOs whose first num_original variables are original, the rest
+    auxiliary; coefficients narrow (bincounted) or wide (merged uniques)."""
+    n = draw(st.integers(0, max_vars))
+    num_original = draw(st.integers(0, n))
+    bound = draw(st.sampled_from([3, 50, 10 ** 6]))
+    coeffs = {}
+    for key in [(i, j) for i in range(n) for j in range(i, n)]:
+        c = draw(st.integers(-bound, bound))
+        if c:
+            coeffs[key] = c
+    variable_map = (tuple(Original(v + 1) for v in range(num_original))
+                    + tuple(Auxiliary(0, s) for s in range(n - num_original)))
+    return Qubo(num_vars=n, coeffs=coeffs, offset=draw(st.integers(-bound, bound)),
+                variable_map=variable_map)
+
+
+def _assert_with_small_blocks(qubo):
+    # one block up to 3 variables, 8-entry blocks above: n below, at and
+    # above the block, num_original on either side of it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "ONE_BLOCK_VARIABLES", 3)
+        patch.setattr(oracle, "BLOCK_BITS", 3)
+        _assert_streamed_matches_full_table(qubo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefixed_qubos())
+def test_streamed_spectrum_equals_full_table_for_hand_built_qubos(qubo):
+    _assert_with_small_blocks(qubo)
+    _assert_streamed_matches_full_table(qubo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas(max_vars=7, max_clauses=5))
+def test_streamed_spectrum_equals_full_table_for_reduced_formulas(formula):
+    _assert_with_small_blocks(cnf_to_qubo(formula))
+
+
+@pytest.mark.parametrize("blocks", [(16, 14), (3, 3)])
+def test_negative_minimum_beside_a_zero_has_no_satisfying_set(monkeypatch, blocks):
+    # x1 gives -1 and x5 gives +1, so the objective is 0 where both or
+    # neither are set: a zero in every 8-entry block of the small-block walk
+    monkeypatch.setattr(oracle, "ONE_BLOCK_VARIABLES", blocks[0])
+    monkeypatch.setattr(oracle, "BLOCK_BITS", blocks[1])
+    qubo = Qubo(num_vars=5, coeffs={(0, 0): -1, (4, 4): 1}, offset=0,
+                variable_map=tuple(Original(v + 1) for v in range(5)))
+    summary = qubo_spectrum(qubo)
+    assert summary.min_value == -1
+    assert summary.value_histogram == {-1: 8, 0: 16, 1: 8}
+    assert summary.satisfying.size == 0 and summary.satisfying_set == ()
+    _assert_streamed_matches_full_table(qubo)
+
+
+def test_streamed_spectrum_over_several_default_blocks():
+    formula = CnfFormula(12, tuple(Clause.of(*c) for c in [
+        (1, -2, 3, 4), (-1, 5, -6), (2, 6, 7, -8), (-3, 9, 10), (11, -12, 4, 5)]))
+    qubo = cnf_to_qubo(formula)
+    assert qubo.num_vars > oracle.ONE_BLOCK_VARIABLES
+    _assert_streamed_matches_full_table(qubo)
+    assert qubo_spectrum(qubo).satisfying_set == tuple(enumerate_sat(formula))
+
+
+def test_spectrum_of_24_unsat_variables_stays_under_2_mb():
+    rng = np.random.default_rng(8)
+    clauses = [Clause.of(1), Clause.of(-1)]
+    for _ in range(30):
+        a, b = rng.choice(24, size=2, replace=False) + 1
+        clauses.append(Clause.of(int(a) * int(rng.choice([-1, 1])), int(b)))
+    qubo = cnf_to_qubo(CnfFormula(24, tuple(clauses)))
+    assert qubo.num_vars == 24
+    tracemalloc.start()
+    try:
+        summary = qubo_spectrum(qubo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.min_value >= 1 and summary.satisfying.size == 0
+    assert sum(summary.value_histogram.values()) == 1 << 24
+    assert peak < 2 << 20
