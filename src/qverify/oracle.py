@@ -66,7 +66,8 @@ BLOCK_BITS = 14
 
 
 def _blocks(upper: np.ndarray, offset: int, m: int):
-    """Yield (h, block): x^T U x + offset over x = h * 2^m + lo, U = ``upper``.
+    """Yield (h, block): x^T U x + offset over x = h * 2^m + lo, for the
+    upper-triangular U = ``upper``.
 
     The low m bits form the block, built once by `_quadratic_table`.  Setting
     high bit b adds the linear column sum_j lo_j U[j, m + b] over the low
@@ -76,13 +77,15 @@ def _blocks(upper: np.ndarray, offset: int, m: int):
     """
     n = upper.shape[0]
     block = _quadratic_table(upper[:m, :m], offset)
+    yield 0, block
+    if n == m:
+        return
     high = _quadratic_table(upper[m:, m:], 0)
     # columns[b][lo] = sum_j lo_j U[j, m + b], all doubled up one low bit at a time
     columns = np.zeros((n - m, 1 << m), dtype=np.int64)
     for j in range(m):
         np.add(columns[:, :1 << j], upper[j, m:, None], out=columns[:, 1 << j:2 << j])
     h = 0
-    yield h, block
     for g in range(1, 1 << (n - m)):
         b = (g & -g).bit_length() - 1
         nxt = h ^ (1 << b)
@@ -116,14 +119,12 @@ def _stream(qubo: Qubo):
     """
     n = qubo.num_vars
     m = n if n <= ONE_BLOCK_VARIABLES else BLOCK_BITS
-    q = qubo.dense()
-    upper = np.triu(q) + np.tril(q, -1).T
-    lower = qubo.offset + int(upper[upper < 0].sum())
-    span = qubo.offset + int(upper[upper > 0].sum()) - lower + 1
+    upper = qubo.dense()
+    lower = qubo.offset + sum(min(c, 0) for c in qubo.coeffs.values())
+    span = qubo.offset + sum(max(c, 0) for c in qubo.coeffs.values()) - lower + 1
     bins = np.zeros(span, dtype=np.int64) if span <= 1 << m else None
     merged = (np.empty(0, dtype=np.int64),) * 2
     pending: list = []
-    waiting = 0
     zero = -lower
     mask = None
     for h, block in _blocks(upper, qubo.offset - lower, m):
@@ -134,10 +135,8 @@ def _stream(qubo: Qubo):
         else:
             keys, counts = np.unique(block, return_counts=True)
             pending.append((keys, counts))
-            waiting += keys.size
-            if waiting >= merged[0].size:
-                merged = _merge([merged, *pending])
-                pending, waiting = [], 0
+            if sum(k.size for k, _ in pending) >= merged[0].size:
+                merged, pending = _merge([merged, *pending]), []
             zeros = zero in keys
         if zeros:
             if mask is None:

@@ -164,9 +164,11 @@ class Qubo:
         return total
 
     def dense(self) -> np.ndarray:
+        """Upper-triangular int64 matrix of the coefficients; a key (j, i)
+        with j > i lands on (i, j), which leaves x^T Q x unchanged."""
         q = np.zeros((self.num_vars, self.num_vars), dtype=np.int64)
         for (i, j), coeff in self.coeffs.items():
-            q[i, j] += coeff
+            q[min(i, j), max(i, j)] += coeff
         return q
 
     def objective_table(self) -> np.ndarray:

@@ -186,15 +186,16 @@ def _assert_streamed_matches_full_table(qubo):
 @st.composite
 def prefixed_qubos(draw, max_vars=8):
     """QUBOs whose first num_original variables are original, the rest
-    auxiliary; coefficients narrow (bincounted) or wide (merged uniques)."""
+    auxiliary; coefficients narrow (bincounted) or wide (merged uniques),
+    some of them keyed (j, i) with j > i."""
     n = draw(st.integers(0, max_vars))
     num_original = draw(st.integers(0, n))
     bound = draw(st.sampled_from([3, 50, 10 ** 6]))
     coeffs = {}
-    for key in [(i, j) for i in range(n) for j in range(i, n)]:
+    for i, j in [(i, j) for i in range(n) for j in range(i, n)]:
         c = draw(st.integers(-bound, bound))
         if c:
-            coeffs[key] = c
+            coeffs[(j, i) if draw(st.booleans()) else (i, j)] = c
     variable_map = (tuple(Original(v + 1) for v in range(num_original))
                     + tuple(Auxiliary(0, s) for s in range(n - num_original)))
     return Qubo(num_vars=n, coeffs=coeffs, offset=draw(st.integers(-bound, bound)),
