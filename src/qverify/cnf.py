@@ -138,12 +138,18 @@ def parse_dimacs(text: str, provenance: str = "dimacs-file") -> CnfFormula:
     Duplicate literals within a clause are deduplicated (first occurrence
     kept); a clause containing a variable in both polarities is rejected, as
     are out-of-range variables and a clause count that disagrees with the
-    header.
+    header.  A "%" line is a comment, except once every declared clause is
+    complete: there it ends the clause data, as in the SATLIB files, which
+    close with a "%" line and a lone "0".
     """
     header: tuple[int, int] | None = None
     tokens: list[int] = []
+    closed = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if line.startswith("%") and header is not None and closed >= header[1] \
+                and (not tokens or tokens[-1] == 0):
+            break
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
@@ -160,9 +166,11 @@ def parse_dimacs(text: str, provenance: str = "dimacs-file") -> CnfFormula:
         if header is None:
             raise CnfError(f"line {lineno}: clause before 'p cnf' header")
         try:
-            tokens.extend(int(tok) for tok in line.split())
+            row = [int(tok) for tok in line.split()]
         except ValueError:
             raise CnfError(f"line {lineno}: non-integer token in {line!r}") from None
+        tokens.extend(row)
+        closed += row.count(0)
     if header is None:
         raise CnfError("missing 'p cnf' header")
 

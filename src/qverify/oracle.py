@@ -106,7 +106,7 @@ def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts
 
 
-def _stream(qubo: Qubo):
+def _stream(qubo: Qubo, table: np.ndarray | None = None):
     """(distinct values, their counts, zero mask or None) in one block walk.
 
     Values are walked shifted by -lower, the sum of the offset and every
@@ -116,18 +116,26 @@ def _stream(qubo: Qubo):
     they hold as many keys as the merged part.  Where a block holds objective
     0, its zero positions are ORed into a mask over the original-variable
     assignments.
+
+    A caller's whole objective table, ``table``, is the one block, walked
+    unshifted when no value is negative (as in every reduced QUBO).
     """
     n = qubo.num_vars
-    m = n if n <= ONE_BLOCK_VARIABLES else BLOCK_BITS
-    upper = qubo.dense()
+    m = n if table is not None or n <= ONE_BLOCK_VARIABLES else BLOCK_BITS
     lower = qubo.offset + sum(min(c, 0) for c in qubo.coeffs.values())
+    if table is not None and table.min() >= 0:
+        lower = 0
     span = qubo.offset + sum(max(c, 0) for c in qubo.coeffs.values()) - lower + 1
+    if table is None:
+        blocks = _blocks(qubo.dense(), qubo.offset - lower, m)
+    else:
+        blocks = [(0, table - lower if lower else table)]
     bins = np.zeros(span, dtype=np.int64) if span <= 1 << m else None
     merged = (np.empty(0, dtype=np.int64),) * 2
     pending: list = []
     zero = -lower
     mask = None
-    for h, block in _blocks(upper, qubo.offset - lower, m):
+    for h, block in blocks:
         if bins is not None:
             counts = np.bincount(block, minlength=span)
             bins += counts
@@ -155,14 +163,21 @@ def _stream(qubo: Qubo):
     return keys + lower, counts, mask
 
 
-def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET) -> SpectrumSummary:
+def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET,
+                  table: np.ndarray | None = None) -> SpectrumSummary:
     """Histogram, extremes and satisfying set of the objective over all 2^n
-    assignments, streamed in blocks without building the 2^n table."""
+    assignments, streamed in blocks without building the 2^n table.
+
+    A caller that already holds the QUBO's `Qubo.objective_table` passes it
+    as ``table``, and it is bincounted as one block instead of built again.
+    """
     _check_budget(qubo.num_vars, budget, "spectrum enumeration")
     for v in qubo.variable_map[: qubo.num_original]:
         if not isinstance(v, Original):
             raise ValueError("original variables must form the index prefix")
-    keys, counts, mask = _stream(qubo)
+    if table is not None and table.shape != (1 << qubo.num_vars,):
+        raise ValueError("the objective table needs one entry per assignment")
+    keys, counts, mask = _stream(qubo, table)
     histogram = {int(v): int(c) for v, c in zip(keys, counts)}
     min_value = int(keys[0])
     max_value = int(keys[-1])

@@ -9,12 +9,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .cnf import CnfFormula, format_assignment
-from .oracle import DEFAULT_BUDGET, SpectrumSummary, qubo_spectrum
+from .oracle import DEFAULT_BUDGET, ONE_BLOCK_VARIABLES, SpectrumSummary, qubo_spectrum
 from .reduction import (
     GapInfo,
     IsingModel,
@@ -39,10 +41,19 @@ SOLVERS = ("brute", "qaoa", "vqe", "grover", "qsvt")
 
 @dataclass
 class Problem:
+    """A formula with its reduction, gap and, in budget, its spectrum.
+
+    ``table`` is the QUBO's objective over every assignment (int64,
+    read-only), kept for reductions of at most ONE_BLOCK_VARIABLES variables
+    that fit the oracle budget: the spectrum is counted from it, and
+    `qaoa`, `vqe` and `qsvt` read it as their Hamiltonian's diagonal.
+    """
+
     formula: CnfFormula
     qubo: Qubo
     gap: GapInfo
     spectrum: SpectrumSummary | None
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def ising(self) -> IsingModel:
@@ -53,11 +64,14 @@ class Problem:
 
 def build_problem(formula: CnfFormula, oracle_budget: int = DEFAULT_BUDGET) -> Problem:
     qubo = cnf_to_qubo(formula)
-    spectrum = None
+    spectrum = table = None
     if qubo.num_vars <= oracle_budget:
-        spectrum = qubo_spectrum(qubo, budget=oracle_budget)
+        if qubo.num_vars <= ONE_BLOCK_VARIABLES:
+            table = qubo.objective_table()
+            table.setflags(write=False)
+        spectrum = qubo_spectrum(qubo, budget=oracle_budget, table=table)
     gap = compute_gap(qubo, spectrum=spectrum)
-    return Problem(formula=formula, qubo=qubo, gap=gap, spectrum=spectrum)
+    return Problem(formula=formula, qubo=qubo, gap=gap, spectrum=spectrum, table=table)
 
 
 def _solve_brute(problem: Problem, seed: int) -> SolverReport:
@@ -83,15 +97,15 @@ def solve(problem: Problem, solver: str, *, optimizer=None, layers: int | None =
     if solver == "qaoa":
         return solve_qaoa(problem.ising, problem.formula,
                           layers=3 if layers is None else layers,
-                          optimizer=optimizer, shots=shots, seed=seed)
+                          optimizer=optimizer, shots=shots, seed=seed, table=problem.table)
     if solver == "vqe":
         return solve_vqe(problem.ising, problem.formula,
                          layers=2 if layers is None else layers,
-                         optimizer=optimizer, shots=shots, seed=seed)
+                         optimizer=optimizer, shots=shots, seed=seed, table=problem.table)
     if solver == "grover":
         return solve_grover(problem.formula, shots=shots, seed=seed)
     if solver == "qsvt":
-        return solve_qsvt(problem.ising, problem.formula, problem.gap,
+        return solve_qsvt(problem.ising, problem.formula, problem.gap, table=problem.table,
                           degree=degree, shots=shots, seed=seed)
     raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVERS}")
 

@@ -4,9 +4,9 @@ Qubit 0 is the least significant bit of the basis index, so basis state
 |b_{n-1} ... b_1 b_0> sits at index sum b_k 2^k.  Statevector construction
 validates unit norm to 1e-10.  The public operations return a fresh
 Statevector, so the norm is checked after each of them; the inner kernels
-(`_gate_layer`, the CNOT ring, `grover_states`'s in-place pass) work on bare
-arrays, and their result is checked once, where it becomes a Statevector to be
-sampled, post-selected or returned.
+(`_gate_layer`, the CNOT ring, Grover's in-place pass) work on bare arrays,
+and their result is checked once, where it becomes a Statevector to be
+sampled, post-selected or returned, or where its probabilities are sampled.
 
 The circuit kernels also take a leading batch axis: a (B, 2^n) array holds B
 states, one per row, each with its own gates.  Every row is bitwise the state
@@ -42,7 +42,7 @@ class Statevector:
         """A Statevector around ``amps`` itself, checked and frozen in place
         instead of copied; for arrays a kernel has just allocated.  Used
         where the copy showed in paired benchmark runs: the start states,
-        built once per circuit batch, and QSVT's 2^(n+1) joint state."""
+        built once per circuit batch."""
         state = object.__new__(cls)
         object.__setattr__(state, "num_qubits", num_qubits)
         object.__setattr__(state, "amplitudes", _checked(num_qubits, amps, batch=False))
@@ -264,24 +264,25 @@ def grover_diffusion(state: Statevector) -> Statevector:
     return Statevector(state.num_qubits, 2.0 * amps.mean() - amps)
 
 
-def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Statevector]:
-    """(D O)^t |s> for each t in ``iterations``, in order, with O the oracle
-    diagonal ``signs`` and D the diffusion, all from one in-place pass.
+def grover_amplitudes(signs: np.ndarray,
+                      iterations: Sequence[int]) -> list[tuple[complex, complex]]:
+    """The (marked, unmarked) amplitude pair of (D O)^t |s> for each t in
+    ``iterations``, in order, with O the oracle diagonal ``signs`` and D the
+    diffusion, all from one in-place pass.
 
-    The pass runs the largest t once on one buffer, recording the (marked,
-    unmarked) amplitude pair at every t asked for; each state is then rebuilt
-    from its pair, and norm-checked, only when the caller draws it.
-
-    The rebuilt states are bitwise those of the step-by-step
-    ``grover_diffusion(phase_oracle(...))`` loop, not approximations.  The
-    buffer goes through exactly the elementwise operations that loop applies
-    (a complex multiply by the +-1 signs, then 2 * mean - amps), so it holds
-    the loop's values at every step.  Those values take only two bit
-    patterns: the start is uniform, the multiply by +-1 is exact, and the
-    mean is one scalar shared by every entry, so two entries with equal
-    values and equal signs stay equal after every step.  Every marked entry
-    is thus bitwise equal to every other marked entry, and likewise for the
-    unmarked ones, and one entry of each kind carries the whole state.
+    The pass runs the largest t once on one buffer, recording the pair at
+    every t asked for.  Entry x of the state at t is the marked amplitude
+    where signs[x] < 0 and the unmarked one elsewhere, bitwise equal to the
+    step-by-step ``grover_diffusion(phase_oracle(...))`` loop, not an
+    approximation.  The buffer goes through exactly the elementwise
+    operations that loop applies (a complex multiply by the +-1 signs, then
+    2 * mean - amps), so it holds the loop's values at every step.  Those
+    values take only two bit patterns: the start is uniform, the multiply by
+    +-1 is exact, and the mean is one scalar shared by every entry, so two
+    entries with equal values and equal signs stay equal after every step.
+    Every marked entry is thus bitwise equal to every other marked entry,
+    and likewise for the unmarked ones, and one entry of each kind carries
+    the whole state.
     """
     num_qubits = signs.size.bit_length() - 1
     amps = uniform_superposition(num_qubits).amplitudes.copy()
@@ -294,10 +295,28 @@ def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Stat
             np.subtract(2.0 * amps.mean(), amps, out=amps)
         if t in wanted:
             pairs[t] = (amps[marked], amps[unmarked])
-    del amps
+    return [pairs[t] for t in iterations]
+
+
+def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Statevector]:
+    """(D O)^t |s> for each t in ``iterations``, in order: each state rebuilt
+    from its `grover_amplitudes` pair, and norm-checked, when the caller
+    draws it."""
+    num_qubits = signs.size.bit_length() - 1
     flipped = signs < 0
-    for t in iterations:
-        yield Statevector(num_qubits, np.where(flipped, *pairs[t]))
+    for pair in grover_amplitudes(signs, iterations):
+        yield Statevector(num_qubits, np.where(flipped, *pair))
+
+
+def grover_probabilities(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[np.ndarray]:
+    """The squared amplitudes of each `grover_states` state, spread from the
+    squares of its (marked, unmarked) pair without building the state;
+    bitwise np.abs(state.amplitudes) ** 2, as every entry is one of the two
+    amplitudes and both steps are elementwise."""
+    flipped = signs < 0
+    for pair in grover_amplitudes(signs, iterations):
+        marked, unmarked = np.abs(np.array(pair)) ** 2
+        yield np.where(flipped, marked, unmarked)
 
 
 def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
@@ -329,17 +348,31 @@ def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
     return Statevector(n, np.transpose(out, perm).reshape(-1))
 
 
-def sample_counts(state: Statevector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``shots`` times: the outcomes seen (ascending basis indices,
-    int64) and how often each came up."""
+def sample_probabilities(probs: np.ndarray, shots: int,
+                         seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``shots`` times a state given by its squared amplitudes: the
+    outcomes seen (ascending basis indices, int64) and how often each came
+    up.
+
+    ``probs`` must sum to 1 within the norm tolerance, the check a
+    `Statevector` makes on its amplitudes.  It is normalised in place, so
+    callers pass an array of their own that they no longer read.
+    """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    hits = np.flatnonzero(counts)
+    total = probs.sum()
+    norm = float(np.sqrt(total))
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
+    np.divide(probs, total, out=probs)
+    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    hits = np.nonzero(counts != 0)[0]
     return hits, counts[hits]
+
+
+def sample_counts(state: Statevector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`sample_probabilities` of a Statevector."""
+    return sample_probabilities(state.probabilities(), shots, seed)
 
 
 def sample(state: Statevector, shots: int, seed: int) -> dict[int, int]:

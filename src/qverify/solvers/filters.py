@@ -9,6 +9,7 @@ so evaluation runs in signed-log form throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,12 +84,14 @@ def filter_quality_mu(poly: FilterPolynomial, delta: float | None = None) -> flo
     return float(2.0 ** filter_quality_log2_mu(poly, delta))
 
 
+@lru_cache(maxsize=256)
 def choose_degree(delta: float, num_qubits: int) -> int:
     """Smallest half-degree whose mu reaches 2^num_qubits.
 
     That makes the filtered mass of even an exponentially large non-solution
     subspace comparable to a single solution's.  Every d up to the cap is
-    scored in one vectorized `_cheb_signed_log` call.
+    scored in one vectorized `_cheb_signed_log` call; the answer, a pure
+    function of its arguments, is cached.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")

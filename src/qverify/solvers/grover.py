@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..cnf import CnfFormula
-from ..simulator import grover_states, oracle_signs, sample_counts, spawn_seeds
+from ..simulator import grover_probabilities, oracle_signs, sample_probabilities, spawn_seeds
 # perfbench/spans.py wraps these names here; they stay bound though unused
 from ..simulator import grover_diffusion, phase_oracle, sample  # noqa: F401
 from .report import NoSolutionFound, Sat, SolverReport, first_verified
@@ -53,10 +53,10 @@ def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> So
     seeds = spawn_seeds(seed, 2 * (n + 1))
     for extra in (False, True):
         schedule = grover_schedule(n + 1 if extra else n)
-        states = grover_states(oracle_signs(formula, extra_control=extra),
-                               [iterations for _, iterations in schedule])
-        for (k, _), state in zip(schedule, states):
-            outcomes, counts = sample_counts(state, shots, seeds[point])
+        points = grover_probabilities(oracle_signs(formula, extra_control=extra),
+                                      [iterations for _, iterations in schedule])
+        for (k, _), probs in zip(schedule, points):
+            outcomes, counts = sample_probabilities(probs, shots, seeds[point])
             shots_used += shots
             keep = counts / shots >= (2.0 / 3.0) / (1 << k)
             outcomes, counts = outcomes[keep], counts[keep]

@@ -14,17 +14,12 @@ import numpy as np
 
 from ..cnf import CnfFormula
 from ..reduction import GapInfo, IsingModel
-from ..simulator import DiagonalHamiltonian, Statevector, sample, spawn_seeds
-# perfbench/spans.py wraps this name here; it stays bound though unused
-from ..simulator import post_select  # noqa: F401
+from ..simulator import DiagonalHamiltonian, sample_probabilities, spawn_seeds
+# perfbench/spans.py wraps these names here; they stay bound though unused
+from ..simulator import post_select, sample  # noqa: F401
 from .filters import FilterPolynomial, choose_degree, eval_filter
-from .report import (
-    NoSolutionFound,
-    SolverReport,
-    first_verified,
-    hamiltonian_from_ising,
-    project_candidates,
-)
+from .report import NoSolutionFound, SolverReport, verified_sample
+from .report import first_verified  # noqa: F401
 
 QSVT_MAX_QUBITS = 16
 _MAX_DELTA = 63.0 / 64.0  # keeps delta < 1 when the whole spectrum is one gap
@@ -83,43 +78,75 @@ def _scale_and_delta(gap: GapInfo) -> tuple[int, float]:
     return gap.bound_M, min(float(gap.estimated_gap), _MAX_DELTA)
 
 
+def _levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, index) with values == levels[index]: for small non-negative
+    integer values (every reduced QUBO), the levels are 0..max and the index
+    is the values themselves; otherwise the levels are the values."""
+    index = values.astype(np.int64, copy=False)
+    top = int(index.max())
+    if index.min() >= 0 and top < index.size and (index is values
+                                                 or np.array_equal(index, values)):
+        return np.arange(top + 1, dtype=np.float64), index
+    return values.astype(np.float64, copy=False), np.arange(values.size)
+
+
+def joint_probabilities(levels: np.ndarray, index: np.ndarray, scale: int,
+                        poly: FilterPolynomial) -> np.ndarray:
+    """The 2^(n+1) measurement probabilities of the filtered joint state for
+    the diagonal levels[index] / scale, ancilla 0 in the first half.
+
+    The filter and both ancilla amplitudes are evaluated once per level and
+    then gathered, which gives bitwise np.abs(amplitudes) ** 2 of the joint
+    state, since each step is elementwise and a real amplitude's modulus is
+    its absolute value.
+    """
+    dim = index.size
+    filtered = eval_filter(poly, levels / scale)
+    amplitudes = np.stack([filtered / np.sqrt(dim),
+                           np.sqrt(np.maximum(0.0, 1.0 - filtered**2)) / np.sqrt(dim)])
+    return np.take(amplitudes**2, index, axis=1).reshape(-1)
+
+
 def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
-               degree: int | None = None, shots: int = 1024,
-               seed: int = 0) -> SolverReport:
+               table: np.ndarray | None = None, degree: int | None = None,
+               shots: int = 1024, seed: int = 0) -> SolverReport:
     """Filter, post-select, sample, and CNF-verify the surviving outcomes.
 
-    ``degree`` is the half-degree d of F_{2d, delta}; by default the smallest
-    d whose suppression covers the register size.
+    ``table`` is the diagonal H, the objective of every assignment (the
+    Problem's int64 table); by default it is built from ``ising``.
+    ``degree`` is the half-degree d of F_{2d, delta}; by default the
+    smallest d whose suppression covers the register size.
+
+    The block encoding's range check is made on the levels of H, as
+    min >= 0 and max / scale <= 1 (division by a positive scale is
+    monotone), and the joint state is never built: its probabilities come
+    from `joint_probabilities`, and their sum is checked as its norm would be.
     """
     n = ising.n
     if n > QSVT_MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the filtering cap {QSVT_MAX_QUBITS}")
-    ham = hamiltonian_from_ising(ising)
+    values = ising.energy_table() if table is None else table
     scale, delta = _scale_and_delta(gap)
-    build_block_encoding(ham, gap, scale=scale)  # checks H / scale lies in [0, 1]
+    levels, index = _levels(values)
+    if levels.min() < 0.0 or levels.max() / scale > 1.0:
+        raise ValueError("block encoding needs entries in [0, 1]; rescale first")
     d = choose_degree(delta, n) if degree is None else degree
     poly = FilterPolynomial(d, delta)
 
-    filtered = ham.per_level(lambda values: eval_filter(poly, values / scale))
     dim = 1 << n
-    amps = np.empty(2 * dim, dtype=np.complex128)
-    amps[:dim] = filtered / np.sqrt(dim)
-    amps[dim:] = np.sqrt(np.maximum(0.0, 1.0 - filtered**2)) / np.sqrt(dim)
-    joint = Statevector._adopt(n + 1, amps)
-    rate = float(np.sum(np.abs(amps[:dim]) ** 2))  # post-selecting ancilla 0
+    probs = joint_probabilities(levels, index, scale, poly)
+    rate = float(np.sum(probs[:dim]))  # post-selecting ancilla 0
 
     sample_seed, = spawn_seeds(seed, 1)
-    counts = sample(joint, shots, sample_seed)
-    kept = {o: c for o, c in counts.items() if o < dim}
-    rate_sampled = sum(kept.values()) / shots
-    candidates = project_candidates(kept, formula.num_variables)
-    verdict = first_verified(formula, (a for a, _ in candidates))
+    outcomes, counts = sample_probabilities(probs, shots, sample_seed)
+    kept = np.searchsorted(outcomes, dim)
+    post_selected = int(counts[:kept].sum())
+    verdict = verified_sample(formula, outcomes[:kept], counts[:kept])
     if verdict is None:
         verdict = NoSolutionFound(
-            f"no verified witness among {sum(kept.values())} post-selected samples"
+            f"no verified witness among {post_selected} post-selected samples"
         )
 
-    observed = ham.values[np.fromiter(counts, dtype=np.int64, count=len(counts)) % dim]
     config = {
         "degree": poly.degree,
         "delta": delta,
@@ -129,10 +156,10 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     return SolverReport(
         solver="qsvt",
         verdict=verdict,
-        best_value=float(observed.min()),
+        best_value=float(values[outcomes % dim].min()),
         shots_used=shots,
         config=config,
         seed=seed,
         rate=rate,
-        rate_sampled=rate_sampled,
+        rate_sampled=post_selected / shots,
     )

@@ -69,5 +69,23 @@ def first_verified(formula: CnfFormula, candidates) -> Sat | None:
     return None
 
 
+def verified_sample(formula: CnfFormula, outcomes: np.ndarray,
+                    counts: np.ndarray) -> Sat | None:
+    """The verdict of sampled ``outcomes`` (int64) seen ``counts`` times.
+
+    As `project_candidates` and `first_verified` do it over a dict, but on
+    arrays: the outcomes are projected onto the original variables and
+    merged, ordered by decreasing count and then ascending assignment, and
+    the first that satisfies the formula is checked once more by
+    `CnfFormula.evaluate`.
+    """
+    keys, merged_at = np.unique(outcomes & ((1 << formula.num_variables) - 1),
+                                return_inverse=True)
+    merged = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(merged, merged_at, counts)
+    witness = formula.first_satisfying(keys[np.lexsort((keys, -merged))])
+    return None if witness is None else first_verified(formula, [witness])
+
+
 def expectation(probabilities: np.ndarray, values: np.ndarray) -> float:
     return float(np.dot(probabilities, values))

@@ -19,20 +19,20 @@ from ..simulator import (
     Statevector,
     apply_ansatz,
     qaoa_state,
-    sample,
+    sample_counts,
     spawn_seeds,
     uniform_superposition,
 )
 # perfbench/spans.py wraps these names here; they stay bound though unused
-from ..simulator import apply_diagonal_phase, apply_rx_all  # noqa: F401
+from ..simulator import apply_diagonal_phase, apply_rx_all, sample  # noqa: F401
 from .report import (
     NoSolutionFound,
     SolverReport,
     expectation,
-    first_verified,
     hamiltonian_from_ising,
-    project_candidates,
+    verified_sample,
 )
+from .report import first_verified  # noqa: F401
 
 VQA_MAX_QUBITS = 20
 # amplitudes per circuit batch (1 MB): memory stays a few such arrays
@@ -104,14 +104,17 @@ def vqe_energy_gradient(hamiltonian: DiagonalHamiltonian, layers: int, params):
 
 def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
            x0_range: tuple[float, float], num_params: int, layers: int,
-           optimizer: OptimizerSpec | None, shots: int, seed: int) -> SolverReport:
+           optimizer: OptimizerSpec | None, shots: int, seed: int,
+           table: np.ndarray | None) -> SolverReport:
     """Minimize the energy of circuit(ham, params), then sample the optimized
     state and CNF-check the candidates.  ``circuit`` takes one parameter
-    vector or a (B, P) batch of them, as `qaoa_state` and `vqe_state` do."""
+    vector or a (B, P) batch of them, as `qaoa_state` and `vqe_state` do.
+    The Hamiltonian's diagonal is ``table`` (the Problem's objective table),
+    by default built from ``ising``."""
     if ising.n > VQA_MAX_QUBITS:
         raise ValueError(f"{ising.n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
     optimizer = optimizer or OptimizerSpec()
-    ham = hamiltonian_from_ising(ising)
+    ham = hamiltonian_from_ising(ising) if table is None else DiagonalHamiltonian(ising.n, table)
     init_seed, opt_seed, sample_seed = spawn_seeds(seed, 3)
 
     rows = max(1, BATCH_AMPLITUDES >> ising.n)
@@ -127,9 +130,8 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
 
     x0 = np.random.default_rng(init_seed).uniform(*x0_range, size=num_params)
     result = minimize(None, x0, optimizer, seed=opt_seed, fn_batch=energies)
-    counts = sample(circuit(ham, result.best_params), shots, sample_seed)
-    candidates = project_candidates(counts, formula.num_variables)
-    verdict = first_verified(formula, (a for a, _ in candidates))
+    outcomes, counts = sample_counts(circuit(ham, result.best_params), shots, sample_seed)
+    verdict = verified_sample(formula, outcomes, counts)
     if verdict is None:
         verdict = NoSolutionFound(f"no satisfying sample among {shots} shots")
     config = {"layers": layers, "optimizer": optimizer.kind,
@@ -141,19 +143,19 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
 
 def solve_qaoa(ising: IsingModel, formula: CnfFormula, *, layers: int = 3,
                optimizer: OptimizerSpec | None = None, shots: int = 2048,
-               seed: int = 0) -> SolverReport:
+               seed: int = 0, table: np.ndarray | None = None) -> SolverReport:
     def circuit(ham: DiagonalHamiltonian, params: np.ndarray):
         return qaoa_state(ham, params[..., :layers], params[..., layers:])
 
     return _solve("qaoa", ising, formula, circuit, (0.0, np.pi / 4), 2 * layers,
-                  layers, optimizer, shots, seed)
+                  layers, optimizer, shots, seed, table)
 
 
 def solve_vqe(ising: IsingModel, formula: CnfFormula, *, layers: int = 2,
               optimizer: OptimizerSpec | None = None, shots: int = 2048,
-              seed: int = 0) -> SolverReport:
+              seed: int = 0, table: np.ndarray | None = None) -> SolverReport:
     def circuit(ham: DiagonalHamiltonian, params: np.ndarray):
         return vqe_state(ising.n, layers, params)
 
     return _solve("vqe", ising, formula, circuit, (-np.pi, np.pi), ising.n * (layers + 1),
-                  layers, optimizer, shots, seed)
+                  layers, optimizer, shots, seed, table)

@@ -15,8 +15,12 @@ For every end-to-end metric that BENCHMARK.json declares, the output holds
 each side's median and inclusive quartiles (`statistics.quantiles(method=
 "inclusive")`), the change's median over the base's, the number of pairs the
 change won (strictly better in the metric's direction), whether the medians
-differ by more than the base's interquartile range, and whether the change
-stays within the metric's bound.  Each run's values are kept as well.
+differ by more than the base's interquartile range, whether the change
+stays within the metric's bound (`within_bound`), and whether it beats the
+base by more than that bound (`beyond_bound`).  Each run's values are kept as
+well, with the request count and the per-class seconds (`requests`,
+`by_kind_s`) of run.py's detail line, which show which request class moved
+and how many requests a run's peak RSS covers.
 """
 from __future__ import annotations
 
@@ -60,7 +64,9 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"bench_pairs: {workload} seed {seed} in {tree} was not correct")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    detail = json.loads(lines[-2])["detail"]  # run.py prints it just before the result
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return values | {"requests": detail["requests"], "by_kind_s": detail["by_kind_s"]}
 
 
 def _spread(values: list[float]) -> dict:
@@ -77,6 +83,7 @@ def summarise(declared: list[dict], pairs: list[dict]) -> dict:
         change = [pair["change"][name] for pair in pairs]
         b, c = _spread(base), _spread(change)
         worse = (b["median"] - c["median"]) if higher else (c["median"] - b["median"])
+        bound = metric["bound"] * abs(b["median"])
         out[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "base": b, "change": c,
@@ -84,7 +91,8 @@ def summarise(declared: list[dict], pairs: list[dict]) -> dict:
             "wins": sum((y > x) if higher else (y < x) for x, y in zip(base, change)),
             "pairs": len(pairs),
             "beyond_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
-            "within_bound": worse <= metric["bound"] * abs(b["median"]),
+            "within_bound": worse <= bound,
+            "beyond_bound": -worse > bound,
         }
     return out
 
