@@ -68,8 +68,10 @@ def build_problem(formula: CnfFormula, oracle_budget: int = DEFAULT_BUDGET) -> P
     if qubo.num_vars <= oracle_budget:
         if qubo.num_vars <= ONE_BLOCK_VARIABLES:
             table = qubo.objective_table()
-            table.setflags(write=False)
         spectrum = qubo_spectrum(qubo, budget=oracle_budget, table=table)
+        if table is not None:
+            # only after the spectrum: np.bincount copies a read-only input
+            table.setflags(write=False)
     gap = compute_gap(qubo, spectrum=spectrum)
     return Problem(formula=formula, qubo=qubo, gap=gap, spectrum=spectrum, table=table)
 

@@ -242,3 +242,20 @@ def test_qsvt_on_16_unsat_variables_peaks_under_3_mb():
         tracemalloc.stop()
     assert isinstance(report.verdict, NoSolutionFound)
     assert peak < 3 << 20
+
+
+def test_building_a_16_variable_problem_counts_its_table_without_a_copy():
+    # np.bincount copies a read-only input, so the table is frozen only after
+    # the spectrum has counted it: the peak is the table and its zero mask
+    core = (Clause.of(1, 2), Clause.of(1, -2), Clause.of(-1, 2), Clause.of(-1, -2))
+    chain = tuple(Clause.of(v, -(v + 1)) for v in range(2, 16))
+    formula = CnfFormula(16, core + chain)
+    build_problem(formula)
+    tracemalloc.start()
+    try:
+        problem = build_problem(formula)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problem.qubo.num_vars == 16 and not problem.table.flags.writeable
+    assert peak < problem.table.nbytes * 3 // 2
