@@ -348,8 +348,8 @@ def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
     return Statevector(n, np.transpose(out, perm).reshape(-1))
 
 
-def sample_probabilities(probs: np.ndarray, shots: int,
-                         seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_probabilities(probs: np.ndarray, shots: int, seed: int,
+                         kept: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Measure ``shots`` times a state given by its squared amplitudes: the
     outcomes seen (ascending basis indices, int64) and how often each came
     up.
@@ -357,15 +357,31 @@ def sample_probabilities(probs: np.ndarray, shots: int,
     ``probs`` must sum to 1 within the norm tolerance, the check a
     `Statevector` makes on its amplitudes.  It is normalised in place, so
     callers pass an array of their own that they no longer read.
+
+    With ``kept`` only the outcomes below ``kept`` are returned, and only
+    they are drawn: the mass of the rest is written at index ``kept`` as one
+    category, and the draw stops there.  Their counts are bitwise those of
+    the full draw, since numpy's multinomial draws category j as
+    binomial(shots left, p_j / mass left) in index order and gives the last
+    category what remains without a draw; counts below ``kept`` thus depend
+    only on p_0 .. p_{kept-1} and the generator's state.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
+    size = probs.size
+    kept = size if kept is None else kept
+    if not 1 <= kept <= size:
+        raise ValueError(f"kept must be in [1, {size}]")
     total = probs.sum()
     norm = float(np.sqrt(total))
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
-    np.divide(probs, total, out=probs)
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    head = probs[:kept]
+    np.divide(head, total, out=head)
+    if kept < size:
+        # never drawn, only range-checked by numpy: any value in [0, 1] holds
+        probs[kept] = min(max(1.0 - float(head.sum()), 0.0), 1.0)
+    counts = np.random.default_rng(seed).multinomial(shots, probs[:kept + 1])[:kept]
     hits = np.nonzero(counts != 0)[0]
     return hits, counts[hits]
 

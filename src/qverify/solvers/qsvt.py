@@ -10,6 +10,8 @@ sampled fraction.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..cnf import CnfFormula
@@ -121,6 +123,11 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     min >= 0 and max / scale <= 1 (division by a positive scale is
     monotone), and the joint state is never built: its probabilities come
     from `joint_probabilities`, and their sum is checked as its norm would be.
+    The shots are drawn over the ancilla-0 half only, the rest as one
+    discarded category (`sample_probabilities` with ``kept``): the
+    post-selected counts are bitwise those of the full draw.  The report's
+    ``best_value`` is the least objective among the post-selected outcomes,
+    inf when no shot was post-selected.
     """
     n = ising.n
     if n > QSVT_MAX_QUBITS:
@@ -138,10 +145,9 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     rate = float(np.sum(probs[:dim]))  # post-selecting ancilla 0
 
     sample_seed, = spawn_seeds(seed, 1)
-    outcomes, counts = sample_probabilities(probs, shots, sample_seed)
-    kept = np.searchsorted(outcomes, dim)
-    post_selected = int(counts[:kept].sum())
-    verdict = verified_sample(formula, outcomes[:kept], counts[:kept])
+    outcomes, counts = sample_probabilities(probs, shots, sample_seed, kept=dim)
+    post_selected = int(counts.sum())
+    verdict = verified_sample(formula, outcomes, counts)
     if verdict is None:
         verdict = NoSolutionFound(
             f"no verified witness among {post_selected} post-selected samples"
@@ -156,7 +162,7 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     return SolverReport(
         solver="qsvt",
         verdict=verdict,
-        best_value=float(values[outcomes % dim].min()),
+        best_value=float(values[outcomes].min()) if outcomes.size else math.inf,
         shots_used=shots,
         config=config,
         seed=seed,

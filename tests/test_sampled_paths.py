@@ -2,6 +2,7 @@
 (marked, unmarked) pair; these tests keep the complex states they used to
 build as the bitwise reference, and the dict-based verdict as the reference
 for the array one."""
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from qverify.simulator import (
     sample,
     sample_counts,
     sample_probabilities,
+    spawn_seeds,
 )
 from qverify.solvers import (
     FilterPolynomial,
@@ -259,3 +261,118 @@ def test_building_a_16_variable_problem_counts_its_table_without_a_copy():
         tracemalloc.stop()
     assert problem.qubo.num_vars == 16 and not problem.table.flags.writeable
     assert peak < problem.table.nbytes * 3 // 2
+
+
+@st.composite
+def probability_vectors(draw):
+    """Normalised vectors of 2 to 2^12 entries, some zero, whose mass may
+    sit wholly before or wholly after a split point."""
+    size = draw(st.integers(2, 1 << 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(size)
+    weights[rng.random(size) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+    split = draw(st.integers(1, size - 1))
+    shape = draw(st.sampled_from(["spread", "head-holds-all", "head-holds-none"]))
+    if shape == "head-holds-all":
+        weights[split:] = 0.0
+    elif shape == "head-holds-none":
+        weights[:split] = 0.0
+    if not weights.any():
+        weights[size - 1 if shape == "head-holds-none" else 0] = 1.0
+    return weights / weights.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(probability_vectors(), st.sampled_from([1, 7, 2048, 100_000]),
+       st.integers(0, 2**63 - 1))
+def test_drawing_below_kept_gives_the_full_draws_counts(probs, shots, seed):
+    # numpy's multinomial draws categories in index order; if a numpy
+    # upgrade changes that order, this is the test that fails
+    full_outcomes, full_counts = sample_probabilities(probs.copy(), shots, seed)
+    for kept in range(1, probs.size + 1):
+        outcomes, counts = sample_probabilities(probs.copy(), shots, seed, kept=kept)
+        below = np.searchsorted(full_outcomes, kept)
+        assert outcomes.dtype == np.int64
+        assert np.array_equal(outcomes, full_outcomes[:below])
+        assert np.array_equal(counts, full_counts[:below])
+
+
+def test_sample_probabilities_checks_the_whole_vector_and_kept():
+    with pytest.raises(ValueError, match="norm"):
+        sample_probabilities(np.array([0.5, 0.6]), 10, 0, kept=1)
+    for kept in (0, 3):
+        with pytest.raises(ValueError, match="kept"):
+            sample_probabilities(np.array([0.5, 0.5]), 10, 0, kept=kept)
+
+
+def _qsvt_full_draw_reference(problem, shots, seed):
+    """What solve_qsvt did before its draw stopped at the post-selected half:
+    the draw over all 2^(n+1) joint outcomes, cut at 2^n.  Returns the
+    verdict, the post-selected count and the least post-selected objective."""
+    values = problem.table if problem.table is not None else problem.ising.energy_table()
+    scale, delta = _scale_and_delta(problem.gap)
+    poly = FilterPolynomial(choose_degree(delta, problem.ising.n), delta)
+    probs = joint_probabilities(*_levels(values), scale, poly)
+    sample_seed, = spawn_seeds(seed, 1)
+    outcomes, counts = sample_probabilities(probs, shots, sample_seed)
+    kept = np.searchsorted(outcomes, 1 << problem.ising.n)
+    post_selected = int(counts[:kept].sum())
+    verdict = verified_sample(problem.formula, outcomes[:kept], counts[:kept])
+    if verdict is None:
+        verdict = NoSolutionFound(
+            f"no verified witness among {post_selected} post-selected samples")
+    best = float(values[outcomes[:kept]].min()) if kept else math.inf
+    return verdict, post_selected, best
+
+
+def _assert_qsvt_matches_the_full_draw(problem):
+    for shots in (1, 64, 2048):
+        for seed in (0, 1, 5, 2024):
+            report = solve_qsvt(problem.ising, problem.formula, problem.gap,
+                                table=problem.table, shots=shots, seed=seed)
+            verdict, post_selected, best = _qsvt_full_draw_reference(problem, shots, seed)
+            assert report.verdict == verdict  # a NoSolutionFound compares its reason
+            assert report.rate_sampled == post_selected / shots
+            assert report.best_value == best
+
+
+def test_qsvt_post_selected_draw_matches_the_full_draw_on_reduced_formulas():
+    for problem in _reduced_problems(count=20):
+        _assert_qsvt_matches_the_full_draw(problem)
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_qsvt_post_selected_draw_matches_the_full_draw_on_the_catalog(spec):
+    _assert_qsvt_matches_the_full_draw(_catalog_problem(spec))
+
+
+def _sixteen_variable_unsat_problem():
+    # variables 1 and 2 carry a four-clause core; a chain reaches the rest
+    core = (Clause.of(1, 2), Clause.of(1, -2), Clause.of(-1, 2), Clause.of(-1, -2))
+    chain = tuple(Clause.of(v, -(v + 1)) for v in range(2, 16))
+    problem = build_problem(CnfFormula(16, core + chain))
+    assert problem.qubo.num_vars == 16 and problem.table is not None
+    return problem
+
+
+def test_qsvt_best_value_is_inf_when_no_shot_is_post_selected():
+    report = solve(_sixteen_variable_unsat_problem(), "qsvt", shots=1, seed=1)
+    assert isinstance(report.verdict, NoSolutionFound)
+    assert report.rate_sampled == 0.0
+    assert report.best_value == math.inf
+
+
+def test_qsvt_on_16_unsat_variables_peaks_under_1_8_mb():
+    # the draw's counts cover the 2^16 post-selected outcomes and one more,
+    # not all 2^17 joint ones
+    problem = _sixteen_variable_unsat_problem()
+    solve(problem, "qsvt", seed=1)  # the first call's lazy imports are not the solver's
+    choose_degree.cache_clear()
+    tracemalloc.start()
+    try:
+        report = solve(problem, "qsvt", seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(report.verdict, NoSolutionFound)
+    assert peak < 1.8 * (1 << 20)
