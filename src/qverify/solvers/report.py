@@ -29,6 +29,16 @@ Verdict = Sat | NoSolutionFound
 
 @dataclass
 class SolverReport:
+    """One solver run: its verdict and what it measured on the way.
+
+    ``best_value`` is the least objective the solver saw: the spectrum's
+    minimum for `brute`, the optimizer's best expectation for `qaoa` and
+    `vqe`, 0 or 1 for `grover` (found or not), and for `qsvt` the least
+    objective among the post-selected outcomes, inf when no shot was
+    post-selected.  ``rate`` and ``rate_sampled`` are QSVT's exact and
+    sampled post-selection rates.
+    """
+
     solver: str
     verdict: Verdict
     best_value: float

@@ -42,7 +42,8 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _extract(rev: str, into: Path) -> Path:
+def extract(rev: str, into: Path) -> Path:
+    """The files of revision ``rev`` under ``into``/base, from `git archive`."""
     into.mkdir(parents=True, exist_ok=True)
     archive = into / "base.tar"
     with archive.open("wb") as handle:
@@ -122,7 +123,7 @@ def main() -> int:
         "seconds": args.seconds, "nproc": os.cpu_count(), "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
-        base_tree = _extract(args.base, Path(scratch))
+        base_tree = extract(args.base, Path(scratch))
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):

@@ -1,0 +1,129 @@
+"""Byte identity of `qverify verify` answers between a base revision and
+this checkout, over seeded rounds of a benchmark workload.
+
+    python3 tools/compare_reports.py --base HEAD~1 --workload solvers \
+        --rounds 5 --seed 1
+
+Run from the root of a checkout.  The base revision is extracted with
+`git archive`, as bench_pairs.py does; the change is this checkout's working
+tree.  The rounds are built by perfbench/workloads.py (read, never changed)
+and their inputs written once, under one directory that both sides read, so
+the reports' `instance` fields match.  Each tree then answers every request
+in one fresh process, through `qverify.cli.main(argv)` with one BLAS thread,
+as the benchmark's worker does.
+
+For every request kind the tool prints how many requests differ, in stdout
+without its `duration_ms` line or in the exit code, and it exits 1 when any
+request differs.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Run in a fresh interpreter inside one tree: answer every request of a JSON
+# list of argvs and write [{"code", "stdout"}] in the same order.
+_ANSWER = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+src, requests, out = sys.argv[1:]
+sys.path.insert(0, src)
+import qverify.cli
+if not Path(qverify.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+    sys.exit(f"qverify imported from {qverify.cli.__file__}, not from {src}")
+rows = []
+for argv in json.loads(Path(requests).read_text()):
+    stdout = io.StringIO()
+    try:
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            code = qverify.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        code = f"raised {type(exc).__name__}: {exc}"
+    rows.append({"code": code, "stdout": stdout.getvalue()})
+Path(out).write_text(json.dumps(rows))
+"""
+
+
+def _without_duration(text: str) -> list[str]:
+    return [line for line in text.splitlines() if '"duration_ms"' not in line]
+
+
+def differing(kinds: list[str], base: list[dict], change: list[dict]) -> dict[str, tuple[int, int]]:
+    """Per request kind, in sorted order: (requests whose exit code or stdout
+    without its `duration_ms` line differ, requests).  The three lists hold
+    one entry per request, in the same order."""
+    if not len(kinds) == len(base) == len(change):
+        raise ValueError("need one base and one change answer per request")
+    out: dict[str, tuple[int, int]] = {}
+    for kind, b, c in zip(kinds, base, change):
+        differs = b["code"] != c["code"] or \
+            _without_duration(b["stdout"]) != _without_duration(c["stdout"])
+        count, total = out.get(kind, (0, 0))
+        out[kind] = (count + differs, total + 1)
+    return dict(sorted(out.items()))
+
+
+def _answers(tree: Path, requests: Path, out: Path, env: dict) -> list[dict]:
+    argv = [sys.executable, "-c", _ANSWER, str(tree / "src"), str(requests), str(out)]
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"compare_reports: answering in {tree} exited "
+                         f"{done.returncode}: {done.stderr.strip()[-500:]}")
+    return json.loads(out.read_text())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True, help="benchmark workload")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="where to extract the base and write the inputs "
+                             "(default: a temporary directory)")
+    args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be positive")
+    sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
+    import workloads
+    from bench_pairs import extract
+    if args.workload not in workloads.BUILDERS:
+        parser.error(f"--workload must be one of {sorted(workloads.BUILDERS)}")
+
+    with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
+        scratch = Path(scratch)
+        base_tree = extract(args.base, scratch)
+        inputs = scratch / "inputs"
+        inputs.mkdir()
+        rng = workloads.workload_rng(args.workload, args.seed)
+        requests = [req for index in range(args.rounds)
+                    for req in workloads.build_round(args.workload, rng, inputs, index)]
+        argvs = scratch / "requests.json"
+        argvs.write_text(json.dumps([req.argv for req in requests]))
+        env = dict(os.environ, QVERIFY_CHECKER=str(workloads.write_checker_stub(inputs)))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        base = _answers(base_tree, argvs, scratch / "base.json", env)
+        change = _answers(ROOT, argvs, scratch / "change.json", env)
+
+    table = differing([req.kind for req in requests], base, change)
+    for kind, (count, total) in table.items():
+        print(f"{kind}\t{count} of {total} differ")
+    count = sum(c for c, _ in table.values())
+    print(f"{args.workload}: {count} of {len(requests)} requests differ "
+          f"({args.rounds} rounds, seed {args.seed})")
+    return 1 if count else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
