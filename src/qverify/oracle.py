@@ -44,7 +44,8 @@ class SpectrumSummary:
     satisfying holds the zero-objective assignments projected onto the
     original-variable prefix (deduplicated, ascending) as an int64 array;
     min_value == 0 exactly when it is non-empty.  satisfying_set is the same
-    as a tuple of ints, built on first access.
+    as a tuple of ints, built on first access.  table is the read-only
+    `Qubo.objective_table` the spectrum was counted from, or None if walked.
     """
 
     min_value: int
@@ -52,6 +53,7 @@ class SpectrumSummary:
     max_value: int
     satisfying: np.ndarray = field(compare=False, repr=False)
     value_histogram: dict[int, int]
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def satisfying_set(self) -> tuple[int, ...]:
@@ -78,8 +80,6 @@ def _blocks(upper: np.ndarray, offset: int, m: int):
     n = upper.shape[0]
     block = _quadratic_table(upper[:m, :m], offset)
     yield 0, block
-    if n == m:
-        return
     high = _quadratic_table(upper[m:, m:], 0)
     # columns[b][lo] = sum_j lo_j U[j, m + b], all doubled up one low bit at a time
     columns = np.zeros((n - m, 1 << m), dtype=np.int64)
@@ -106,8 +106,8 @@ def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts
 
 
-def _stream(qubo: Qubo, table: np.ndarray | None = None):
-    """(distinct values, their counts, zero mask or None) in one block walk.
+def _stream(qubo: Qubo):
+    """(distinct values, their counts, zero mask or None, table or None).
 
     Values are walked shifted by -lower, the sum of the offset and every
     negative coefficient, so they lie in 0..span-1.  A span no wider
@@ -117,11 +117,13 @@ def _stream(qubo: Qubo, table: np.ndarray | None = None):
     0, its zero positions are ORed into a mask over the original-variable
     assignments.
 
-    A caller's whole objective table, ``table``, is the one block, walked
-    unshifted when no value is negative (as in every reduced QUBO).
+    Up to ONE_BLOCK_VARIABLES the one block is the whole `Qubo.objective_table`,
+    returned too: counted unshifted when no value is negative (as in every
+    reduced QUBO), and through a shifted copy otherwise.
     """
     n = qubo.num_vars
-    m = n if table is not None or n <= ONE_BLOCK_VARIABLES else BLOCK_BITS
+    table = qubo.objective_table() if n <= ONE_BLOCK_VARIABLES else None
+    m = n if table is not None else BLOCK_BITS
     lower = qubo.offset + sum(min(c, 0) for c in qubo.coeffs.values())
     if table is not None and table.min() >= 0:
         lower = 0
@@ -160,24 +162,22 @@ def _stream(qubo: Qubo, table: np.ndarray | None = None):
     else:
         keys = np.flatnonzero(bins)
         counts = bins[keys]
-    return keys + lower, counts, mask
+    return keys + lower, counts, mask, table
 
 
-def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET,
-                  table: np.ndarray | None = None) -> SpectrumSummary:
+def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET) -> SpectrumSummary:
     """Histogram, extremes and satisfying set of the objective over all 2^n
-    assignments, streamed in blocks without building the 2^n table.
-
-    A caller that already holds the QUBO's `Qubo.objective_table` passes it
-    as ``table``, and it is bincounted as one block instead of built again.
+    assignments: up to ONE_BLOCK_VARIABLES, counted from the objective table,
+    which is kept read-only as ``table``; above, streamed in blocks.
     """
     _check_budget(qubo.num_vars, budget, "spectrum enumeration")
     for v in qubo.variable_map[: qubo.num_original]:
         if not isinstance(v, Original):
             raise ValueError("original variables must form the index prefix")
-    if table is not None and table.shape != (1 << qubo.num_vars,):
-        raise ValueError("the objective table needs one entry per assignment")
-    keys, counts, mask = _stream(qubo, table)
+    keys, counts, mask, table = _stream(qubo)
+    if table is not None:
+        # only after counting: np.bincount copies a read-only input
+        table.setflags(write=False)
     histogram = {int(v): int(c) for v, c in zip(keys, counts)}
     min_value = int(keys[0])
     max_value = int(keys[-1])
@@ -190,4 +190,5 @@ def qubo_spectrum(qubo: Qubo, budget: int = DEFAULT_BUDGET,
         max_value=max_value,
         satisfying=satisfying,
         value_histogram=histogram,
+        table=table,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnf import CnfFormula, format_assignment
-from .oracle import DEFAULT_BUDGET, ONE_BLOCK_VARIABLES, SpectrumSummary, qubo_spectrum
+from .oracle import DEFAULT_BUDGET, SpectrumSummary, qubo_spectrum
 from .reduction import (
     GapInfo,
     IsingModel,
@@ -43,10 +43,9 @@ SOLVERS = ("brute", "qaoa", "vqe", "grover", "qsvt")
 class Problem:
     """A formula with its reduction, gap and, in budget, its spectrum.
 
-    ``table`` is the QUBO's objective over every assignment (int64,
-    read-only), kept for reductions of at most ONE_BLOCK_VARIABLES variables
-    that fit the oracle budget: the spectrum is counted from it, and
-    `qaoa`, `vqe` and `qsvt` read it as their Hamiltonian's diagonal.
+    ``table`` is the spectrum's objective table (`SpectrumSummary.table`),
+    so it is set for reductions of at most 16 variables that fit the oracle
+    budget; `qaoa`, `vqe` and `qsvt` read it as their Hamiltonian's diagonal.
     """
 
     formula: CnfFormula
@@ -64,14 +63,8 @@ class Problem:
 
 def build_problem(formula: CnfFormula, oracle_budget: int = DEFAULT_BUDGET) -> Problem:
     qubo = cnf_to_qubo(formula)
-    spectrum = table = None
-    if qubo.num_vars <= oracle_budget:
-        if qubo.num_vars <= ONE_BLOCK_VARIABLES:
-            table = qubo.objective_table()
-        spectrum = qubo_spectrum(qubo, budget=oracle_budget, table=table)
-        if table is not None:
-            # only after the spectrum: np.bincount copies a read-only input
-            table.setflags(write=False)
+    spectrum = qubo_spectrum(qubo, oracle_budget) if qubo.num_vars <= oracle_budget else None
+    table = None if spectrum is None else spectrum.table
     gap = compute_gap(qubo, spectrum=spectrum)
     return Problem(formula=formula, qubo=qubo, gap=gap, spectrum=spectrum, table=table)
 

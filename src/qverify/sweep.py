@@ -41,9 +41,13 @@ def parse_instance_spec(text: str) -> tuple[str, str, dict[str, int]]:
     if tail:
         for item in tail.split(","):
             key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed instance parameter {item!r} in {text!r}")
-            params[key.strip()] = int(value)
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"repeated instance parameter {key!r} in {text!r}")
+            try:
+                params[key] = int(value)
+            except ValueError:
+                raise ValueError(f"malformed instance parameter {item!r} in {text!r}") from None
     bits = value_bit_count(name, params)
     if bits > DEFAULT_BUDGET:
         raise ValueError(f"{text}: {bits} value variables exceed {DEFAULT_BUDGET}, "

@@ -370,7 +370,8 @@ def resolve_params(name: str, params: Mapping | None = None) -> dict:
 
 
 def value_bit_count(name: str, params: Mapping | None = None) -> int:
-    return CATALOG[name].value_bits(resolve_params(name, params))
+    merged = resolve_params(name, params)  # first: it rejects an unknown name
+    return CATALOG[name].value_bits(merged)
 
 
 def generate_synthetic(name: str, params: Mapping | None = None) -> CnfFormula:

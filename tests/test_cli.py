@@ -240,6 +240,24 @@ def test_catalog_instance_over_24_variables_rejected_before_building(argv, capsy
                             "the most any solver takes\n")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("bogus", "unknown synthetic instance 'bogus'; known: addition, flow, "),
+    ("or:n=x", "malformed instance parameter 'n=x' in 'or:n=x'\n"),
+    ("or:n=3,n=4", "repeated instance parameter 'n' in 'or:n=3,n=4'\n"),
+], ids=["unknown", "malformed", "repeated"])
+@pytest.mark.parametrize("command", ["verify", "rates"])
+def test_bad_instance_spec_exits_two_with_its_message(command, spec, message, tmp_path,
+                                                      capsys):
+    out = tmp_path / "out"
+    argv = (["verify", "--synthetic", spec] if command == "verify"
+            else ["sweep", "rates", "--out", str(out), "--instance", spec])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qverify: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--dimacs", "missing.cnf", "--shots", "0"],
     ["verify", "--dimacs", "missing.cnf", "--solver", "brute", "--shots", "-5"],

@@ -52,3 +52,20 @@ def test_answers_must_pair_up_with_the_requests():
     with pytest.raises(ValueError, match="one base and one change"):
         _tool().differing(["a", "b"], [{"code": 0, "stdout": ""}] * 2,
                           [{"code": 0, "stdout": ""}])
+
+
+def test_sweep_csvs_must_match_byte_for_byte(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for side in (base, change):
+        side.mkdir()
+        (side / "heatmap.csv").write_bytes(b"d,delta,value\n1,0.5,0.25\n")
+    (base / "rates.csv").write_bytes(b"instance\nunique\n")
+    (change / "rates.csv").write_bytes(b"instance\nunique\n\n")      # a trailing line
+    (base / "convergence.csv").write_bytes(b"run\n0\n")                # base only
+    (change / "extra.csv").write_bytes(b"")                             # change only
+    tool = _tool()
+    assert tool.differing_files(base, change) == ["convergence.csv", "extra.csv", "rates.csv"]
+    (change / "rates.csv").write_bytes(b"instance\nunique\n")
+    (change / "convergence.csv").write_bytes(b"run\n0\n")
+    (change / "extra.csv").unlink()
+    assert tool.differing_files(base, change) == []

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qverify.solvers.qsvt as qsvt
 from qverify.cnf import Clause, CnfFormula
 from qverify.pipeline import build_problem, solve
-from qverify.reduction import GapInfo, IsingModel
+from qverify.reduction import GapInfo, IsingModel, Qubo
 from qverify.simulator import (
     Statevector,
     grover_probabilities,
@@ -125,6 +125,34 @@ def test_problem_has_no_table_out_of_budget_or_above_one_block():
     assert build_problem(formula, oracle_budget=16).spectrum is None
     small = CnfFormula(6, (Clause.of(1, 2),))
     assert build_problem(small, oracle_budget=4).table is None
+
+
+def test_build_problem_builds_the_objective_table_once(monkeypatch):
+    calls = []
+    build = Qubo.objective_table
+
+    def counted(qubo):
+        calls.append(qubo.num_vars)
+        return build(qubo)
+
+    monkeypatch.setattr(Qubo, "objective_table", counted)
+    rng = np.random.default_rng(14)
+    formulas = [random_formula(rng, max_vars=10, max_clauses=12, max_width=4)
+                for _ in range(20)]
+    formulas.append(generate_synthetic("two-solutions", {}))
+    formulas.append(CnfFormula(17, tuple(Clause.of(v, v + 1) for v in range(1, 17))))
+    sizes = set()
+    for formula in formulas:
+        calls.clear()
+        problem = build_problem(formula)
+        n = problem.qubo.num_vars
+        sizes.add(n)
+        if n <= 16:
+            assert calls == [n]
+            assert problem.table is problem.spectrum.table
+        else:
+            assert calls == [] and problem.table is None
+    assert 16 in sizes and min(sizes) < 16 < max(sizes)
 
 
 @pytest.mark.parametrize("solver", ["qaoa", "vqe", "qsvt"])

@@ -265,3 +265,42 @@ def test_spectrum_of_24_unsat_variables_stays_under_2_mb():
     assert summary.min_value >= 1 and summary.satisfying.size == 0
     assert sum(summary.value_histogram.values()) == 1 << 24
     assert peak < 2 << 20
+
+
+def _assert_spectrum_keeps_the_objective_table(qubo):
+    table = qubo_spectrum(qubo).table
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.tobytes() == qubo.objective_table().tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas())
+def test_spectrum_keeps_the_objective_table_of_reduced_formulas(formula):
+    _assert_spectrum_keeps_the_objective_table(cnf_to_qubo(formula))
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefixed_qubos())
+def test_spectrum_keeps_the_objective_table_of_hand_built_qubos(qubo):
+    _assert_spectrum_keeps_the_objective_table(qubo)
+
+
+def test_spectrum_keeps_the_unshifted_table_of_a_negative_minimum():
+    qubo = Qubo(num_vars=5, coeffs={(0, 0): -1, (4, 4): 1}, offset=0,
+                variable_map=tuple(Original(v + 1) for v in range(5)))
+    _assert_spectrum_keeps_the_objective_table(qubo)
+    assert qubo_spectrum(qubo).table.min() == -1
+
+
+@pytest.mark.parametrize("blocks", [(16, 14), (3, 3)])
+def test_walked_spectrum_keeps_no_table(monkeypatch, blocks):
+    monkeypatch.setattr(oracle, "ONE_BLOCK_VARIABLES", blocks[0])
+    monkeypatch.setattr(oracle, "BLOCK_BITS", blocks[1])
+    formula = CnfFormula(12, tuple(Clause.of(*c) for c in [
+        (1, -2, 3, 4), (-1, 5, -6), (2, 6, 7, -8), (-3, 9, 10), (11, -12, 4, 5)]))
+    qubos = [cnf_to_qubo(formula),
+             Qubo(num_vars=5, coeffs={(0, 0): -1, (4, 4): 1}, offset=0,
+                  variable_map=tuple(Original(v + 1) for v in range(5)))]
+    for qubo in qubos:
+        walked = qubo.num_vars > blocks[0]
+        assert (qubo_spectrum(qubo).table is None) == walked

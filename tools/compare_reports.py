@@ -1,8 +1,10 @@
 """Byte identity of `qverify verify` answers between a base revision and
-this checkout, over seeded rounds of a benchmark workload.
+this checkout, over seeded rounds of a benchmark workload, or of the sweep
+CSVs.
 
     python3 tools/compare_reports.py --base HEAD~1 --workload solvers \
         --rounds 5 --seed 1
+    python3 tools/compare_reports.py --base HEAD~1 --workload sweeps
 
 Run from the root of a checkout.  The base revision is extracted with
 `git archive`, as bench_pairs.py does; the change is this checkout's working
@@ -15,6 +17,12 @@ as the benchmark's worker does.
 For every request kind the tool prints how many requests differ, in stdout
 without its `duration_ms` line or in the exit code, and it exits 1 when any
 request differs.
+
+`--workload sweeps` runs `sweep convergence`, `sweep rates` and `sweep
+heatmap` at their default arguments instead (`--rounds` and `--seed` are not
+read), through `qverify.cli.main` in one fresh process per tree, each tree
+writing to its own directory.  It prints whether each CSV is byte-identical
+and exits 1 when any differs.
 """
 from __future__ import annotations
 
@@ -28,17 +36,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Run in a fresh interpreter inside one tree: answer every request of a JSON
-# list of argvs and write [{"code", "stdout"}] in the same order.
-_ANSWER = """
+SWEEPS = ("convergence", "rates", "heatmap")
+
+# Run in a fresh interpreter inside one tree, with the tree's src directory
+# as the first argument: import qverify from there and nowhere else.
+_IMPORT = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-src, requests, out = sys.argv[1:]
+src = sys.argv[1]
 sys.path.insert(0, src)
 import qverify.cli
 if not Path(qverify.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
     sys.exit(f"qverify imported from {qverify.cli.__file__}, not from {src}")
+"""
+
+# Answer every request of a JSON list of argvs and write [{"code", "stdout"}]
+# in the same order.
+_ANSWER = _IMPORT + """
+requests, out = sys.argv[2:]
 rows = []
 for argv in json.loads(Path(requests).read_text()):
     stdout = io.StringIO()
@@ -51,6 +67,16 @@ for argv in json.loads(Path(requests).read_text()):
         code = f"raised {type(exc).__name__}: {exc}"
     rows.append({"code": code, "stdout": stdout.getvalue()})
 Path(out).write_text(json.dumps(rows))
+"""
+
+# Run each default sweep, writing its CSV under the output directory.
+_SWEEP = _IMPORT + """
+out = sys.argv[2]
+for study in sys.argv[3:]:
+    with redirect_stdout(io.StringIO()):
+        code = qverify.cli.main(["sweep", study, "--out", out])
+    if code != 0:
+        sys.exit(f"sweep {study} exited {code}")
 """
 
 
@@ -73,13 +99,39 @@ def differing(kinds: list[str], base: list[dict], change: list[dict]) -> dict[st
     return dict(sorted(out.items()))
 
 
-def _answers(tree: Path, requests: Path, out: Path, env: dict) -> list[dict]:
-    argv = [sys.executable, "-c", _ANSWER, str(tree / "src"), str(requests), str(out)]
+def differing_files(base: Path, change: Path) -> list[str]:
+    """Names of the files, in either directory, sorted, that the other
+    directory lacks or holds with other bytes."""
+    names = sorted({p.name for p in base.iterdir()} | {p.name for p in change.iterdir()})
+    return [name for name in names
+            if not ((base / name).is_file() and (change / name).is_file()
+                    and (base / name).read_bytes() == (change / name).read_bytes())]
+
+
+def _run(script: str, tree: Path, args: list[str], env: dict) -> None:
+    argv = [sys.executable, "-c", script, str(tree / "src"), *args]
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"compare_reports: answering in {tree} exited "
+        raise SystemExit(f"compare_reports: running in {tree} exited "
                          f"{done.returncode}: {done.stderr.strip()[-500:]}")
+
+
+def _answers(tree: Path, requests: Path, out: Path, env: dict) -> list[dict]:
+    _run(_ANSWER, tree, [str(requests), str(out)], env)
     return json.loads(out.read_text())
+
+
+def _compare_sweeps(base_tree: Path, scratch: Path, env: dict) -> int:
+    outs = {}
+    for side, tree in (("base", base_tree), ("change", ROOT)):
+        outs[side] = scratch / f"{side}-sweeps"
+        outs[side].mkdir()
+        _run(_SWEEP, tree, [str(outs[side]), *SWEEPS], env)
+    differ = differing_files(outs["base"], outs["change"])
+    for name in sorted({p.name for out in outs.values() for p in out.iterdir()}):
+        print(f"{name}\t{'differs' if name in differ else 'identical'}")
+    print(f"sweeps: {len(differ)} CSVs differ")
+    return 1 if differ else 0
 
 
 def main() -> int:
@@ -97,12 +149,17 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
     import workloads
     from bench_pairs import extract
-    if args.workload not in workloads.BUILDERS:
-        parser.error(f"--workload must be one of {sorted(workloads.BUILDERS)}")
+    if args.workload != "sweeps" and args.workload not in workloads.BUILDERS:
+        parser.error(f"--workload must be one of {sorted(workloads.BUILDERS)} or sweeps")
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
         scratch = Path(scratch)
         base_tree = extract(args.base, scratch)
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        if args.workload == "sweeps":
+            return _compare_sweeps(base_tree, scratch, env)
         inputs = scratch / "inputs"
         inputs.mkdir()
         rng = workloads.workload_rng(args.workload, args.seed)
@@ -110,9 +167,7 @@ def main() -> int:
                     for req in workloads.build_round(args.workload, rng, inputs, index)]
         argvs = scratch / "requests.json"
         argvs.write_text(json.dumps([req.argv for req in requests]))
-        env = dict(os.environ, QVERIFY_CHECKER=str(workloads.write_checker_stub(inputs)))
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
+        env["QVERIFY_CHECKER"] = str(workloads.write_checker_stub(inputs))
         base = _answers(base_tree, argvs, scratch / "base.json", env)
         change = _answers(ROOT, argvs, scratch / "change.json", env)
 
