@@ -2,21 +2,18 @@
 
 A C source file plus a list of error conditions goes in; the checker's CNF
 encoding of "some enabled check fails within the unwinding bound" comes back
-as a parsed formula.  The checker executable is found via the QVERIFY_CHECKER
-environment variable or a `cbmc` on PATH; the flag table naming each error
-condition ships as package data so other CBMC-compatible checkers can reuse
-the plumbing.
+as a parsed formula.  The checker executable is the one the QVERIFY_CHECKER
+environment variable names, or else a `cbmc` on PATH; any checker that takes
+CBMC's command line can stand in.  `checker_flag_table` lists the error
+conditions and the CBMC flags that enable each.
 """
 from __future__ import annotations
 
-import json
 import os
 import re
 import shutil
 import subprocess
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .cnf import CnfError, CnfFormula, parse_dimacs
@@ -33,10 +30,17 @@ class CheckerUnavailableError(CheckerError):
     """No checker executable could be resolved."""
 
 
-@lru_cache(maxsize=1)
 def checker_flag_table() -> dict[str, tuple[str, ...]]:
-    raw = resources.files("qverify.data").joinpath("checker_flags.json").read_text()
-    return {name: tuple(flags) for name, flags in json.loads(raw).items()}
+    """The CBMC flags that enable each named error condition."""
+    return {
+        "bounds": ("--bounds-check",),
+        "overflow": ("--signed-overflow-check", "--unsigned-overflow-check"),
+        "div-by-zero": ("--div-by-zero-check",),
+        "pointer": ("--pointer-check",),
+        "conversion": ("--conversion-check",),
+        "nan": ("--nan-check",),
+        "memory-leak": ("--memory-leak-check",),
+    }
 
 
 @dataclass(frozen=True)
@@ -44,27 +48,26 @@ class CheckerConfig:
     source: Path
     checks: tuple[str, ...] = ()
     unwind: int = 1
-    executable: str | None = None
 
     def __post_init__(self):
         if self.unwind < 1:
             raise ValueError("unwind bound must be positive")
-        unknown = [c for c in self.checks if c not in checker_flag_table()]
+        table = checker_flag_table()
+        unknown = [c for c in self.checks if c not in table]
         if unknown:
-            known = ", ".join(sorted(checker_flag_table()))
+            known = ", ".join(sorted(table))
             raise ValueError(f"unknown checks {unknown}; known: {known}")
 
     def argv(self, executable: str) -> list[str]:
-        flags: list[str] = []
-        for check in self.checks:
-            flags.extend(checker_flag_table()[check])
+        table = checker_flag_table()
+        flags = [flag for check in self.checks for flag in table[check]]
         return [executable, str(self.source), "--dimacs", *flags,
                 "--unwind", str(self.unwind)]
 
 
-def resolve_checker(executable: str | None = None) -> str | None:
+def resolve_checker() -> str | None:
     """Resolved checker path, or None when nothing suitable exists."""
-    candidate = executable or os.environ.get(ENV_VAR) or DEFAULT_EXECUTABLE
+    candidate = os.environ.get(ENV_VAR) or DEFAULT_EXECUTABLE
     if os.path.sep in candidate:
         return candidate if os.access(candidate, os.X_OK) else None
     return shutil.which(candidate)
@@ -92,7 +95,7 @@ def _extract_dimacs(stdout: str) -> str:
 
 def run_model_checker(config: CheckerConfig) -> CnfFormula:
     """Run the checker on the configured source and parse its CNF output."""
-    executable = resolve_checker(config.executable)
+    executable = resolve_checker()
     if executable is None:
         raise CheckerUnavailableError(
             f"no model checker found; install cbmc or point {ENV_VAR} at one"

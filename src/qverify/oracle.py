@@ -30,9 +30,10 @@ def _check_budget(num_vars: int, budget: int, what: str) -> None:
         )
 
 
-def enumerate_sat(formula: CnfFormula, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """All satisfying assignments of the formula, ascending."""
-    _check_budget(formula.num_variables, budget, "satisfiability enumeration")
+def enumerate_sat(formula: CnfFormula) -> list[int]:
+    """All satisfying assignments of the formula, ascending, within the
+    DEFAULT_BUDGET of variables."""
+    _check_budget(formula.num_variables, DEFAULT_BUDGET, "satisfiability enumeration")
     mask = satisfying_mask(formula)
     return [int(a) for a in np.nonzero(mask)[0]]
 

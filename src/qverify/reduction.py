@@ -51,14 +51,13 @@ def _add_term(poly: QuadPoly, key: tuple[int, ...], coeff: int) -> None:
             del poly[key]
 
 
-def _penalty_poly(lits: list[tuple[int, bool]]) -> QuadPoly:
-    poly: QuadPoly = {}
+def _penalty_terms(poly: QuadPoly, lits: list[tuple[int, bool]]) -> None:
     if len(lits) == 1:
         (i, neg), = lits
         ca, sa = _affine(neg)
         _add_term(poly, (), 1 - ca)
         _add_term(poly, (i,), -sa)
-        return poly
+        return
     (i, na), (j, nb) = lits
     ca, sa = _affine(na)
     cb, sb = _affine(nb)
@@ -66,14 +65,28 @@ def _penalty_poly(lits: list[tuple[int, bool]]) -> QuadPoly:
     _add_term(poly, (i,), -sa + sa * cb)
     _add_term(poly, (j,), -sb + ca * sb)
     _add_term(poly, (i, j), sa * sb)
-    return poly
+
+
+def _gadget_terms(poly: QuadPoly, a: tuple[int, bool], b: tuple[int, bool], r: int) -> None:
+    (i, na), (j, nb) = a, b
+    ca, sa = _affine(na)
+    cb, sb = _affine(nb)
+    _add_term(poly, (r,), 1 - 2 * ca - 2 * cb)
+    _add_term(poly, (i, r), -2 * sa)
+    _add_term(poly, (j, r), -2 * sb)
+    _add_term(poly, (), ca + cb + ca * cb)
+    _add_term(poly, (i,), sa + sa * cb)
+    _add_term(poly, (j,), sb + ca * sb)
+    _add_term(poly, (i, j), sa * sb)
 
 
 def clause_penalty(clause: Clause) -> QuadPoly:
     """Penalty polynomial of a width-<=2 clause over 0-based QUBO indices."""
     if clause.width > 2:
         raise ValueError("clause_penalty handles widths 1 and 2; reduce wider clauses first")
-    return _penalty_poly([(lit.variable - 1, lit.negated) for lit in clause.literals])
+    poly: QuadPoly = {}
+    _penalty_terms(poly, [(lit.variable - 1, lit.negated) for lit in clause.literals])
+    return poly
 
 
 def reduction_gadget(a: tuple[int, bool], b: tuple[int, bool], r: int) -> QuadPoly:
@@ -82,17 +95,8 @@ def reduction_gadget(a: tuple[int, bool], b: tuple[int, bool], r: int) -> QuadPo
     Literals are (0-based index, negated) pairs; the polynomial is 0 exactly
     when r = a OR b and >= 1 (max 3) otherwise.
     """
-    (i, na), (j, nb) = a, b
-    ca, sa = _affine(na)
-    cb, sb = _affine(nb)
     poly: QuadPoly = {}
-    _add_term(poly, (r,), 1 - 2 * ca - 2 * cb)
-    _add_term(poly, (i, r), -2 * sa)
-    _add_term(poly, (j, r), -2 * sb)
-    _add_term(poly, (), ca + cb + ca * cb)
-    _add_term(poly, (i,), sa + sa * cb)
-    _add_term(poly, (j,), sb + ca * sb)
-    _add_term(poly, (i, j), sa * sb)
+    _gadget_terms(poly, a, b, r)
     return poly
 
 
@@ -217,35 +221,25 @@ def cnf_to_qubo(formula: CnfFormula) -> Qubo:
     Auxiliary count is sum over clauses of max(0, width - 2); original
     variables occupy QUBO indices 0..n-1 in CNF order.
     """
-    coeffs: dict[tuple[int, int], int] = {}
-    offset = 0
+    poly: QuadPoly = {}
     variable_map: list = [Original(v) for v in range(1, formula.num_variables + 1)]
     gadgets = 0
-
-    def accumulate(poly: QuadPoly) -> None:
-        nonlocal offset
-        for key, coeff in poly.items():
-            if key == ():
-                offset += coeff
-            elif len(key) == 1:
-                i = key[0]
-                coeffs[(i, i)] = coeffs.get((i, i), 0) + coeff
-            else:
-                coeffs[key] = coeffs.get(key, 0) + coeff
-
     for ci, clause in enumerate(formula.clauses):
         lits = [(lit.variable - 1, lit.negated) for lit in clause.literals]
         step = 0
         while len(lits) > 2:
             r = len(variable_map)
             variable_map.append(Auxiliary(ci, step))
-            accumulate(reduction_gadget(lits[0], lits[1], r))
+            _gadget_terms(poly, lits[0], lits[1], r)
             lits = [(r, False)] + lits[2:]
             step += 1
             gadgets += 1
-        accumulate(_penalty_poly(lits))
+        _penalty_terms(poly, lits)
 
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    offset = poly.pop((), 0)
+    # a clause never repeats a variable, so every quadratic key has i < j and
+    # the diagonal (i, i) holds the linear term alone
+    coeffs = {(key[0], key[-1]): coeff for key, coeff in poly.items()}
     return Qubo(
         num_vars=len(variable_map),
         coeffs=coeffs,
@@ -355,16 +349,15 @@ class GapInfo:
     """Spectral-gap data for a reduced QUBO.
 
     bound_M counts one per width-<=2 penalty term and three per gadget, so it
-    dominates the largest objective value; estimated_gap = 1/bound_M.  The
-    exact fields are filled from an exhaustive spectrum when the oracle budget
-    allows: exact_gap = min_nonzero / max_value.
+    dominates the largest objective value; estimated_gap = 1/bound_M.  Given
+    the exhaustive spectrum, exact_gap is the least non-zero objective value
+    over max_value, the largest.
     """
 
     bound_M: int
     estimated_gap: Fraction
     exact_gap: Fraction | None = None
     max_value: int | None = None
-    min_nonzero: int | None = None
 
     def __post_init__(self):
         if self.bound_M < 1:
@@ -373,28 +366,23 @@ class GapInfo:
             raise ValueError("exact gap cannot undercut the estimate")
 
 
-def compute_gap(qubo: Qubo, exact: bool = False, spectrum=None) -> GapInfo:
-    """Gap bound from term counts, optionally sharpened by full enumeration.
+def compute_gap(qubo: Qubo, spectrum=None) -> GapInfo:
+    """Gap bound from term counts, sharpened by ``spectrum`` (the oracle's
+    `SpectrumSummary` of ``qubo``) when one is given.
 
     A constant-zero objective (empty formula) has no spectral gap; bound_M is
     floored at 1 so the 1/bound_M estimate stays defined.
     """
     bound = max(1, qubo.clause_terms + 3 * qubo.gadget_terms)
     info = GapInfo(bound_M=bound, estimated_gap=Fraction(1, bound))
-    if not exact and spectrum is None:
-        return info
     if spectrum is None:
-        from .oracle import qubo_spectrum
-
-        spectrum = qubo_spectrum(qubo)
+        return info
     nonzero = [v for v in spectrum.value_histogram if v != 0]
     if not nonzero or spectrum.max_value <= 0:
         return info
-    min_nonzero = min(nonzero)
     return GapInfo(
         bound_M=bound,
         estimated_gap=Fraction(1, bound),
-        exact_gap=Fraction(min_nonzero, spectrum.max_value),
+        exact_gap=Fraction(min(nonzero), spectrum.max_value),
         max_value=spectrum.max_value,
-        min_nonzero=min_nonzero,
     )

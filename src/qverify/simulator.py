@@ -68,6 +68,18 @@ def _checked(num_qubits: int, amps: np.ndarray, batch: bool) -> np.ndarray:
     return amps
 
 
+def level_index(values: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(index, top) for a table of non-negative integers below its own size,
+    the levels 0..top, as every reduced objective is; index is the table as
+    int64, the table itself when it already is int64.  None otherwise."""
+    index = values.astype(np.int64, copy=False)
+    top = int(index.max())
+    if index.min() >= 0 and top < index.size and (index is values
+                                                 or np.array_equal(index, values)):
+        return index, top
+    return None
+
+
 @dataclass(frozen=True)
 class DiagonalHamiltonian:
     """Diagonal operator given by its value per basis state."""
@@ -84,11 +96,7 @@ class DiagonalHamiltonian:
 
     @cached_property
     def _levels(self) -> tuple[np.ndarray, int] | None:
-        levels = self.values.astype(np.int64)
-        top = int(levels.max())
-        if levels.min() >= 0 and top < levels.size and np.array_equal(levels, self.values):
-            return levels, top
-        return None
+        return level_index(self.values)
 
     def per_level(self, fn) -> np.ndarray:
         """fn(values) for an elementwise fn, evaluated once per distinct value.

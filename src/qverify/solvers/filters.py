@@ -68,20 +68,17 @@ def eval_filter(poly: FilterPolynomial, x):
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
-def filter_quality_log2_mu(poly: FilterPolynomial, delta: float | None = None) -> float:
-    """log2 of mu = T_d(y(0))^2 evaluated for gap ``delta`` (default: the
-    filter's own); stays finite where mu itself overflows."""
-    gap = poly.delta if delta is None else delta
-    if not 0.0 < gap < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    _, log_0 = _cheb_signed_log(poly.half_degree, _argument(np.float64(0.0), gap))
+def filter_quality_log2_mu(poly: FilterPolynomial) -> float:
+    """log2 of mu = T_d(y(0))^2 at the filter's own gap; stays finite where
+    mu itself overflows."""
+    _, log_0 = _cheb_signed_log(poly.half_degree, _argument(np.float64(0.0), poly.delta))
     return 2.0 * float(log_0) / np.log(2.0)
 
 
-def filter_quality_mu(poly: FilterPolynomial, delta: float | None = None) -> float:
+def filter_quality_mu(poly: FilterPolynomial) -> float:
     """Suppression factor mu: squared filter values on [delta, 1] are bounded
     by 1/mu, so filtered probability mass drops by mu."""
-    return float(2.0 ** filter_quality_log2_mu(poly, delta))
+    return float(2.0 ** filter_quality_log2_mu(poly))
 
 
 @lru_cache(maxsize=256)

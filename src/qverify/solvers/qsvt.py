@@ -16,7 +16,7 @@ import numpy as np
 
 from ..cnf import CnfFormula
 from ..reduction import GapInfo, IsingModel
-from ..simulator import DiagonalHamiltonian, sample_probabilities, spawn_seeds
+from ..simulator import DiagonalHamiltonian, level_index, sample_probabilities, spawn_seeds
 # perfbench/spans.py wraps these names here; they stay bound though unused
 from ..simulator import post_select, sample  # noqa: F401
 from .filters import FilterPolynomial, choose_degree, eval_filter
@@ -64,12 +64,10 @@ class BlockEncoding:
         return u
 
 
-def build_block_encoding(hamiltonian: DiagonalHamiltonian, gap: GapInfo,
-                         scale: int | None = None) -> BlockEncoding:
-    """Encode A = H / scale; the default scale is the gap's bound_M, which
-    dominates every objective value by construction."""
-    scale = gap.bound_M if scale is None else scale
-    return BlockEncoding(hamiltonian.values / scale)
+def build_block_encoding(hamiltonian: DiagonalHamiltonian, gap: GapInfo) -> BlockEncoding:
+    """Encode A = H / bound_M; the gap's bound_M dominates every objective
+    value by construction."""
+    return BlockEncoding(hamiltonian.values / gap.bound_M)
 
 
 def _scale_and_delta(gap: GapInfo) -> tuple[int, float]:
@@ -83,11 +81,11 @@ def _scale_and_delta(gap: GapInfo) -> tuple[int, float]:
 def _levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(levels, index) with values == levels[index]: for small non-negative
     integer values (every reduced QUBO), the levels are 0..max and the index
-    is the values themselves; otherwise the levels are the values."""
-    index = values.astype(np.int64, copy=False)
-    top = int(index.max())
-    if index.min() >= 0 and top < index.size and (index is values
-                                                 or np.array_equal(index, values)):
+    is the values themselves (`level_index`); otherwise the levels are the
+    values."""
+    found = level_index(values)
+    if found is not None:
+        index, top = found
         return np.arange(top + 1, dtype=np.float64), index
     return values.astype(np.float64, copy=False), np.arange(values.size)
 

@@ -322,7 +322,7 @@ def test_post_select_output_is_checked_and_read_only():
 @given(st.floats(1e-3, 0.999), st.integers(0, 40))
 def test_choose_degree_is_the_first_degree_reaching_the_register(delta, n):
     want = next((d for d in range(1, DEGREE_CAP + 1)
-                 if filter_quality_log2_mu(FilterPolynomial(d, delta), delta) >= n), None)
+                 if filter_quality_log2_mu(FilterPolynomial(d, delta)) >= n), None)
     if want is None:
         with pytest.raises(DegreeCapError):
             choose_degree(delta, n)

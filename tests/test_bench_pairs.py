@@ -1,6 +1,7 @@
 """`tools/bench_pairs.py` summarises alternating parent/change runs; its
 summary is checked here on hand-made pairs."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,32 @@ def test_beyond_bound_needs_more_than_the_bound():
     assert not out["verify_per_s"]["beyond_bound"]    # 2.5 better, bound 2.5
     assert out["peak_rss_mb"]["beyond_bound"]         # 12.5% better, bound 10%
     assert all(out[m]["within_bound"] for m in out)
+
+
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_revisions_mark_a_dirty_src_tree(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "mod.py").write_text("x = 1\n")
+    (repo / "notes.md").write_text("notes\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    head, tree = _git(repo, "rev-parse", "HEAD"), _git(repo, "rev-parse", "HEAD:src")
+    revisions = _tool().revisions
+
+    clean = revisions(repo, "HEAD")
+    assert clean == {"base": head, "base_src_tree": tree,
+                     "change": head, "change_src_tree": tree}
+    (repo / "notes.md").write_text("more notes\n")
+    outside = revisions(repo, "HEAD")
+    assert outside["change"] == head + "+dirty" and outside["change_src_tree"] == tree
+    (repo / "src" / "mod.py").write_text("x = 2\n")
+    inside = revisions(repo, "HEAD")
+    assert inside["change"] == head + "+dirty"
+    assert inside["change_src_tree"] == tree + "+dirty"
+    assert inside["base_src_tree"] == tree

@@ -63,8 +63,6 @@ def test_env_override_beats_default(make_fake_checker, checker_env):
     script, _ = make_fake_checker(SAT_DIMACS)
     checker_env(script)
     assert resolve_checker() == str(script)
-    # explicit argument beats the environment
-    assert resolve_checker(str(script)) == str(script)
 
 
 def test_unavailable(tmp_path, checker_env):

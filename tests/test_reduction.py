@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qverify.cnf import Clause, CnfFormula, parse_dimacs
+from qverify.oracle import qubo_spectrum
 from qverify.reduction import (
     Auxiliary,
     GapInfo,
@@ -170,15 +173,17 @@ def test_compute_gap_counts_terms():
     assert info.bound_M == 2 + 3 * 3
     assert info.estimated_gap == Fraction(1, 11)
     assert info.exact_gap is None
-    sharp = compute_gap(q, exact=True)
-    assert sharp.exact_gap == Fraction(sharp.min_nonzero, sharp.max_value)
+    spectrum = qubo_spectrum(q)
+    sharp = compute_gap(q, spectrum=spectrum)
+    min_nonzero = min(v for v in spectrum.value_histogram if v != 0)
+    assert sharp.exact_gap == Fraction(min_nonzero, sharp.max_value)
     assert sharp.estimated_gap <= sharp.exact_gap
     assert sharp.bound_M >= sharp.max_value
 
 
 def test_compute_gap_empty_formula():
     q = cnf_to_qubo(CnfFormula(2, ()))
-    info = compute_gap(q, exact=True)
+    info = compute_gap(q, spectrum=qubo_spectrum(q))
     assert info.bound_M == 1
     assert info.estimated_gap == Fraction(1)
     assert info.exact_gap is None  # constant-zero objective has no gap
@@ -191,6 +196,31 @@ def test_bound_dominates_max_on_random_formulas():
         q = cnf_to_qubo(f)
         if q.num_vars > 14:
             continue
-        info = compute_gap(q, exact=True)
+        info = compute_gap(q, spectrum=qubo_spectrum(q))
         if info.max_value is not None:
             assert info.bound_M >= info.max_value
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module an import in ``path`` names, at module level or inside a
+    function, relative imports resolved against the ``qverify`` package."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the top of the package
+                module = f"qverify.{module}".rstrip(".")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_reduction_imports_nothing_from_the_oracle():
+    import qverify.reduction
+
+    names = _imported_modules(Path(qverify.reduction.__file__))
+    assert "qverify.cnf" in names
+    assert not any(name == "qverify.oracle" or name.startswith("qverify.oracle.")
+                   for name in names)

@@ -16,9 +16,11 @@ from qverify.cnf import Clause, CnfFormula
 from qverify.pipeline import build_problem, solve
 from qverify.reduction import GapInfo, IsingModel, Qubo
 from qverify.simulator import (
+    DiagonalHamiltonian,
     Statevector,
     grover_probabilities,
     grover_states,
+    level_index,
     oracle_signs,
     sample,
     sample_counts,
@@ -109,6 +111,26 @@ def test_qsvt_levels_fall_back_to_the_values_for_other_tables():
         ham_probs = joint_probabilities(levels, index, 10, poly)
         amps = eval_filter(poly, values / 10) / 2.0
         assert np.array_equal(ham_probs[:4], np.abs(amps.astype(np.complex128)) ** 2)
+
+
+def test_level_index_reads_an_int64_table_in_place_for_both_callers():
+    indexed = 0
+    for problem in _reduced_problems(count=10):
+        table = problem.table
+        ham = DiagonalHamiltonian(problem.qubo.num_vars, table)
+        found = level_index(table)
+        if found is None:  # more levels than assignments
+            assert table.max() >= table.size and ham._levels is None
+            continue
+        indexed += 1
+        index, top = found
+        assert index is table and top == table.max()
+        ham_index, ham_top = ham._levels
+        assert ham_index.dtype == np.int64 and np.array_equal(ham_index, table)
+        assert ham_top == top
+        levels, qsvt_index = _levels(table)
+        assert qsvt_index is table and np.array_equal(levels, np.arange(top + 1))
+    assert indexed >= 5
 
 
 def test_problem_table_is_the_energy_table_and_read_only():

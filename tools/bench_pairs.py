@@ -37,9 +37,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def revisions(root: Path, base: str) -> dict:
+    """The base and change commits of the checkout at ``root`` and their src
+    trees; the change is marked `+dirty` where the working tree differs from
+    HEAD, and its src tree where src/ does.  The src trees identify what was
+    measured even after the commits are reworded."""
+    def dirty(*paths: str) -> str:
+        return "+dirty" if _git(root, "status", "--porcelain", "--", *paths) else ""
+
+    return {
+        "base": _git(root, "rev-parse", base),
+        "base_src_tree": _git(root, "rev-parse", f"{base}:src"),
+        "change": _git(root, "rev-parse", "HEAD") + dirty(),
+        "change_src_tree": _git(root, "rev-parse", "HEAD:src") + dirty("src"),
+    }
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -114,12 +130,7 @@ def main() -> int:
         parser.error("--pairs must be at least 2")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    # the src trees identify what was measured even after the commits are reworded
-    summary = {
-        "base": _git("rev-parse", args.base),
-        "base_src_tree": _git("rev-parse", f"{args.base}:src"),
-        "change": _git("rev-parse", "HEAD") + ("+dirty" if _git("status", "--porcelain") else ""),
-        "change_src_tree": _git("rev-parse", "HEAD:src"),
+    summary = revisions(ROOT, args.base) | {
         "seconds": args.seconds, "nproc": os.cpu_count(), "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:

@@ -3,8 +3,7 @@ this checkout, over seeded rounds of a benchmark workload, or of the sweep
 CSVs.
 
     python3 tools/compare_reports.py --base HEAD~1 --workload solvers \
-        --rounds 5 --seed 1
-    python3 tools/compare_reports.py --base HEAD~1 --workload sweeps
+        --workload oracle --workload sweeps --rounds 5 --seed 1
 
 Run from the root of a checkout.  The base revision is extracted with
 `git archive`, as bench_pairs.py does; the change is this checkout's working
@@ -14,15 +13,16 @@ the reports' `instance` fields match.  Each tree then answers every request
 in one fresh process, through `qverify.cli.main(argv)` with one BLAS thread,
 as the benchmark's worker does.
 
-For every request kind the tool prints how many requests differ, in stdout
-without its `duration_ms` line or in the exit code, and it exits 1 when any
-request differs.
+`--workload` is repeatable: the base is extracted once and each workload is
+checked in turn.  For every request kind the tool prints how many requests
+differ, in stdout without its `duration_ms` line or in the exit code.
 
 `--workload sweeps` runs `sweep convergence`, `sweep rates` and `sweep
 heatmap` at their default arguments instead (`--rounds` and `--seed` are not
 read), through `qverify.cli.main` in one fresh process per tree, each tree
-writing to its own directory.  It prints whether each CSV is byte-identical
-and exits 1 when any differs.
+writing to its own directory.  It prints whether each CSV is byte-identical.
+
+The tool exits 1 when any request or CSV of any workload differs.
 """
 from __future__ import annotations
 
@@ -134,10 +134,35 @@ def _compare_sweeps(base_tree: Path, scratch: Path, env: dict) -> int:
     return 1 if differ else 0
 
 
+def _compare_rounds(workload: str, rounds: int, seed: int, base_tree: Path,
+                    scratch: Path, env: dict) -> int:
+    import workloads
+
+    inputs = scratch / "inputs"
+    inputs.mkdir(parents=True)
+    rng = workloads.workload_rng(workload, seed)
+    requests = [req for index in range(rounds)
+                for req in workloads.build_round(workload, rng, inputs, index)]
+    argvs = scratch / "requests.json"
+    argvs.write_text(json.dumps([req.argv for req in requests]))
+    env = env | {"QVERIFY_CHECKER": str(workloads.write_checker_stub(inputs))}
+    base = _answers(base_tree, argvs, scratch / "base.json", env)
+    change = _answers(ROOT, argvs, scratch / "change.json", env)
+
+    table = differing([req.kind for req in requests], base, change)
+    for kind, (count, total) in table.items():
+        print(f"{kind}\t{count} of {total} differ")
+    count = sum(c for c, _ in table.values())
+    print(f"{workload}: {count} of {len(requests)} requests differ "
+          f"({rounds} rounds, seed {seed})")
+    return 1 if count else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True, help="benchmark workload")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="benchmark workload, or sweeps (repeatable)")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument("--workdir", type=Path, default=None,
@@ -149,35 +174,24 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
     import workloads
     from bench_pairs import extract
-    if args.workload != "sweeps" and args.workload not in workloads.BUILDERS:
-        parser.error(f"--workload must be one of {sorted(workloads.BUILDERS)} or sweeps")
+    for workload in args.workload:
+        if workload != "sweeps" and workload not in workloads.BUILDERS:
+            parser.error(f"--workload must be one of {sorted(workloads.BUILDERS)} or sweeps")
 
+    status = 0
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
         scratch = Path(scratch)
         base_tree = extract(args.base, scratch)
         env = dict(os.environ)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
-        if args.workload == "sweeps":
-            return _compare_sweeps(base_tree, scratch, env)
-        inputs = scratch / "inputs"
-        inputs.mkdir()
-        rng = workloads.workload_rng(args.workload, args.seed)
-        requests = [req for index in range(args.rounds)
-                    for req in workloads.build_round(args.workload, rng, inputs, index)]
-        argvs = scratch / "requests.json"
-        argvs.write_text(json.dumps([req.argv for req in requests]))
-        env["QVERIFY_CHECKER"] = str(workloads.write_checker_stub(inputs))
-        base = _answers(base_tree, argvs, scratch / "base.json", env)
-        change = _answers(ROOT, argvs, scratch / "change.json", env)
-
-    table = differing([req.kind for req in requests], base, change)
-    for kind, (count, total) in table.items():
-        print(f"{kind}\t{count} of {total} differ")
-    count = sum(c for c, _ in table.values())
-    print(f"{args.workload}: {count} of {len(requests)} requests differ "
-          f"({args.rounds} rounds, seed {args.seed})")
-    return 1 if count else 0
+        for workload in dict.fromkeys(args.workload):
+            if workload == "sweeps":
+                status |= _compare_sweeps(base_tree, scratch, env)
+            else:
+                status |= _compare_rounds(workload, args.rounds, args.seed, base_tree,
+                                          scratch / workload, env)
+    return status
 
 
 if __name__ == "__main__":
