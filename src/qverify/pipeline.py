@@ -56,8 +56,8 @@ class Problem:
 
     @cached_property
     def ising(self) -> IsingModel:
-        """The spin form of the QUBO, built on first access (`brute` never
-        reads it)."""
+        """The spin form of the QUBO, built on first access (no solver reads
+        it)."""
         return qubo_to_ising(self.qubo)
 
 
@@ -90,17 +90,17 @@ def solve(problem: Problem, solver: str, *, optimizer=None, layers: int | None =
     if solver == "brute":
         return _solve_brute(problem, seed)
     if solver == "qaoa":
-        return solve_qaoa(problem.ising, problem.formula,
+        return solve_qaoa(problem.qubo, problem.formula,
                           layers=3 if layers is None else layers,
                           optimizer=optimizer, shots=shots, seed=seed, table=problem.table)
     if solver == "vqe":
-        return solve_vqe(problem.ising, problem.formula,
+        return solve_vqe(problem.qubo, problem.formula,
                          layers=2 if layers is None else layers,
                          optimizer=optimizer, shots=shots, seed=seed, table=problem.table)
     if solver == "grover":
         return solve_grover(problem.formula, shots=shots, seed=seed)
     if solver == "qsvt":
-        return solve_qsvt(problem.ising, problem.formula, problem.gap, table=problem.table,
+        return solve_qsvt(problem.qubo, problem.formula, problem.gap, table=problem.table,
                           degree=degree, shots=shots, seed=seed)
     raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVERS}")
 

@@ -13,7 +13,6 @@ from .report import (
     Sat,
     SolverReport,
     first_verified,
-    hamiltonian_from_ising,
     project_candidates,
 )
 from .vqa import (
@@ -39,7 +38,6 @@ __all__ = [
     "filter_quality_mu",
     "first_verified",
     "grover_iterations",
-    "hamiltonian_from_ising",
     "project_candidates",
     "grover_schedule",
     "qaoa_energy_gradient",

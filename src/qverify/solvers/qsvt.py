@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..cnf import CnfFormula
-from ..reduction import GapInfo, IsingModel
+from ..reduction import GapInfo, Qubo
 from ..simulator import DiagonalHamiltonian, level_index, sample_probabilities, spawn_seeds
 # perfbench/spans.py wraps these names here; they stay bound though unused
 from ..simulator import post_select, sample  # noqa: F401
@@ -107,13 +107,13 @@ def joint_probabilities(levels: np.ndarray, index: np.ndarray, scale: int,
     return np.take(amplitudes**2, index, axis=1).reshape(-1)
 
 
-def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
+def solve_qsvt(qubo: Qubo, formula: CnfFormula, gap: GapInfo, *,
                table: np.ndarray | None = None, degree: int | None = None,
                shots: int = 1024, seed: int = 0) -> SolverReport:
     """Filter, post-select, sample, and CNF-verify the surviving outcomes.
 
     ``table`` is the diagonal H, the objective of every assignment (the
-    Problem's int64 table); by default it is built from ``ising``.
+    Problem's int64 table); by default `Qubo.objective_table`.
     ``degree`` is the half-degree d of F_{2d, delta}; by default the
     smallest d whose suppression covers the register size.
 
@@ -127,10 +127,10 @@ def solve_qsvt(ising: IsingModel, formula: CnfFormula, gap: GapInfo, *,
     ``best_value`` is the least objective among the post-selected outcomes,
     inf when no shot was post-selected.
     """
-    n = ising.n
+    n = qubo.num_vars
     if n > QSVT_MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the filtering cap {QSVT_MAX_QUBITS}")
-    values = ising.energy_table() if table is None else table
+    values = qubo.objective_table() if table is None else table
     scale, delta = _scale_and_delta(gap)
     levels, index = _levels(values)
     if levels.min() < 0.0 or levels.max() / scale > 1.0:

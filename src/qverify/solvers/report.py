@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cnf import CnfFormula, format_assignment
-from ..reduction import IsingModel
-from ..simulator import DiagonalHamiltonian
 
 
 @dataclass(frozen=True)
@@ -53,10 +51,6 @@ class SolverReport:
         if isinstance(self.verdict, Sat):
             return format_assignment(self.verdict.witness, formula.num_variables)
         return None
-
-
-def hamiltonian_from_ising(ising: IsingModel) -> DiagonalHamiltonian:
-    return DiagonalHamiltonian(ising.n, ising.energy_table())
 
 
 def project_candidates(counts: dict[int, int], num_cnf_vars: int) -> list[tuple[int, int]]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..cnf import CnfFormula
 from ..optimizers import OptimizerSpec, minimize
-from ..reduction import IsingModel
+from ..reduction import Qubo
 from ..simulator import (
     DiagonalHamiltonian,
     Statevector,
@@ -29,7 +29,6 @@ from .report import (
     NoSolutionFound,
     SolverReport,
     expectation,
-    hamiltonian_from_ising,
     verified_sample,
 )
 from .report import first_verified  # noqa: F401
@@ -102,7 +101,7 @@ def vqe_energy_gradient(hamiltonian: DiagonalHamiltonian, layers: int, params):
     return grad
 
 
-def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
+def _solve(solver: str, qubo: Qubo, formula: CnfFormula, circuit,
            x0_range: tuple[float, float], num_params: int, layers: int,
            optimizer: OptimizerSpec | None, shots: int, seed: int,
            table: np.ndarray | None) -> SolverReport:
@@ -110,14 +109,15 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
     state and CNF-check the candidates.  ``circuit`` takes one parameter
     vector or a (B, P) batch of them, as `qaoa_state` and `vqe_state` do.
     The Hamiltonian's diagonal is ``table`` (the Problem's objective table),
-    by default built from ``ising``."""
-    if ising.n > VQA_MAX_QUBITS:
-        raise ValueError(f"{ising.n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
+    by default `Qubo.objective_table`."""
+    n = qubo.num_vars
+    if n > VQA_MAX_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the dense-simulation cap {VQA_MAX_QUBITS}")
     optimizer = optimizer or OptimizerSpec()
-    ham = hamiltonian_from_ising(ising) if table is None else DiagonalHamiltonian(ising.n, table)
+    ham = DiagonalHamiltonian(n, qubo.objective_table() if table is None else table)
     init_seed, opt_seed, sample_seed = spawn_seeds(seed, 3)
 
-    rows = max(1, BATCH_AMPLITUDES >> ising.n)
+    rows = max(1, BATCH_AMPLITUDES >> n)
 
     def energies(points: np.ndarray) -> list[float]:
         # circuit batches of at most `rows` points; each row's energy is the
@@ -141,21 +141,21 @@ def _solve(solver: str, ising: IsingModel, formula: CnfFormula, circuit,
                         config=config, seed=seed)
 
 
-def solve_qaoa(ising: IsingModel, formula: CnfFormula, *, layers: int = 3,
+def solve_qaoa(qubo: Qubo, formula: CnfFormula, *, layers: int = 3,
                optimizer: OptimizerSpec | None = None, shots: int = 2048,
                seed: int = 0, table: np.ndarray | None = None) -> SolverReport:
     def circuit(ham: DiagonalHamiltonian, params: np.ndarray):
         return qaoa_state(ham, params[..., :layers], params[..., layers:])
 
-    return _solve("qaoa", ising, formula, circuit, (0.0, np.pi / 4), 2 * layers,
+    return _solve("qaoa", qubo, formula, circuit, (0.0, np.pi / 4), 2 * layers,
                   layers, optimizer, shots, seed, table)
 
 
-def solve_vqe(ising: IsingModel, formula: CnfFormula, *, layers: int = 2,
+def solve_vqe(qubo: Qubo, formula: CnfFormula, *, layers: int = 2,
               optimizer: OptimizerSpec | None = None, shots: int = 2048,
               seed: int = 0, table: np.ndarray | None = None) -> SolverReport:
     def circuit(ham: DiagonalHamiltonian, params: np.ndarray):
-        return vqe_state(ising.n, layers, params)
+        return vqe_state(qubo.num_vars, layers, params)
 
-    return _solve("vqe", ising, formula, circuit, (-np.pi, np.pi), ising.n * (layers + 1),
+    return _solve("vqe", qubo, formula, circuit, (-np.pi, np.pi), qubo.num_vars * (layers + 1),
                   layers, optimizer, shots, seed, table)

@@ -19,7 +19,12 @@ from qverify.cnf import Clause, CnfFormula, parse_dimacs, satisfying_mask
 from qverify.optimizers import KINDS, OptimizerSpec
 from qverify.pipeline import build_problem
 from qverify.reduction import cnf_to_qubo, extend_assignment, qubo_to_ising
-from qverify.simulator import grover_diffusion, phase_oracle, uniform_superposition
+from qverify.simulator import (
+    DiagonalHamiltonian,
+    grover_diffusion,
+    phase_oracle,
+    uniform_superposition,
+)
 from qverify.solvers import (
     FilterPolynomial,
     NoSolutionFound,
@@ -31,7 +36,6 @@ from qverify.solvers import (
     solve_qsvt,
     vqe_energy_gradient,
 )
-from qverify.solvers.report import hamiltonian_from_ising
 from qverify.solvers.vqa import vqe_state
 from qverify.sweep import sweep_convergence, sweep_heatmap, sweep_rates
 from qverify.synthetic import generate_synthetic
@@ -237,7 +241,7 @@ def test_criterion_05_qaoa_addition_with_both_optimizers(tmp_path):
         solved = 0
         for seed in (0, 1, 2, 3, 4):
             spec = OptimizerSpec(kind=kind, max_iterations=200)
-            report = solve_qaoa(problem.ising, formula, layers=3,
+            report = solve_qaoa(problem.qubo, formula, layers=3,
                                 optimizer=spec, seed=seed)
             if isinstance(report.verdict, Sat):
                 assert formula.evaluate(report.verdict.witness)
@@ -260,7 +264,8 @@ def test_criterion_05_qaoa_addition_with_both_optimizers(tmp_path):
 def test_criterion_06_vqe_gradient_against_finite_differences():
     qubo = cnf_to_qubo(generate_synthetic("or", {"n": 3}))
     assert qubo.num_vars == 3
-    hamiltonian = hamiltonian_from_ising(qubo_to_ising(qubo))
+    ising = qubo_to_ising(qubo)
+    hamiltonian = DiagonalHamiltonian(ising.n, ising.energy_table())
     layers = 2
     rng = np.random.default_rng(99)
     for _ in range(20):
@@ -301,7 +306,7 @@ def test_criterion_08_qsvt_leakage_rates_and_reference_pairs(tmp_path):
     for label, name, params in IN_BUDGET:
         formula = generate_synthetic(name, params)
         problem = build_problem(formula)
-        report = solve_qsvt(problem.ising, formula, problem.gap,
+        report = solve_qsvt(problem.qubo, formula, problem.gap,
                             shots=200_000, seed=5)
         assert isinstance(report.verdict, Sat), label
         assert formula.evaluate(report.verdict.witness), label
@@ -321,7 +326,7 @@ def test_criterion_08_qsvt_leakage_rates_and_reference_pairs(tmp_path):
     for text in CONTRADICTIONS:
         formula = parse_dimacs(text)
         problem = build_problem(formula)
-        report = solve_qsvt(problem.ising, formula, problem.gap, seed=6)
+        report = solve_qsvt(problem.qubo, formula, problem.gap, seed=6)
         assert isinstance(report.verdict, NoSolutionFound)
         delta = report.config["delta"]
         half = report.config["degree"] // 2
@@ -338,7 +343,7 @@ def test_criterion_08_qsvt_leakage_rates_and_reference_pairs(tmp_path):
         params = dict(kv.split("=") for kv in tail.split(",") if kv)
         formula = generate_synthetic(name, {k: int(v) for k, v in params.items()})
         problem = build_problem(formula)
-        check = solve_qsvt(problem.ising, formula, problem.gap, shots=1, seed=0)
+        check = solve_qsvt(problem.qubo, formula, problem.gap, shots=1, seed=0)
         exact = check.rate
         assert check.config["degree"] == int(degree), label
         sigma = math.sqrt(exact * (1 - exact) / 100_000)
@@ -360,7 +365,7 @@ def test_criterion_08_qsvt_leakage_rates_and_reference_pairs(tmp_path):
                                ("unique", {}, 15)]:
         formula = generate_synthetic(name, params)
         problem = build_problem(formula)
-        report = solve_qsvt(problem.ising, formula, problem.gap,
+        report = solve_qsvt(problem.qubo, formula, problem.gap,
                             degree=half, seed=8)
         assert report.config["degree"] == 2 * half
         assert isinstance(report.verdict, Sat)

@@ -203,7 +203,7 @@ def test_batch_cap_leaves_the_report_unchanged(monkeypatch, solver, kind):
 
     def run(cap):
         monkeypatch.setattr(vqa, "BATCH_AMPLITUDES", cap)
-        report = solver(problem.ising, problem.formula, layers=2, optimizer=spec,
+        report = solver(problem.qubo, problem.formula, layers=2, optimizer=spec,
                         shots=64, seed=3)
         return report.verdict, report.best_value.hex(), report.convergence_trace
 
@@ -220,7 +220,7 @@ def test_vqe_peak_memory_stays_a_few_batches_at_14_qubits():
     spec = OptimizerSpec(kind="trust-region", max_iterations=1)
     tracemalloc.start()
     try:
-        solve_vqe(problem.ising, problem.formula, optimizer=spec, shots=64)
+        solve_vqe(problem.qubo, problem.formula, optimizer=spec, shots=64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,7 +340,7 @@ def test_variational_reports_match_the_golden_ones(case):
     problem = _golden_problem(case["instance"])
     solve = solve_qaoa if case["solver"] == "qaoa" else solve_vqe
     spec = OptimizerSpec(kind=case["optimizer"], max_iterations=case["max_iterations"])
-    report = solve(problem.ising, problem.formula, layers=2, optimizer=spec, shots=256,
+    report = solve(problem.qubo, problem.formula, layers=2, optimizer=spec, shots=256,
                    seed=case["seed"])
     verdict = case["verdict"]
     if "sat" in verdict:

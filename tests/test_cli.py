@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from qverify.cli import main
+from qverify.pipeline import SOLVERS
 
 DATA = Path(__file__).parent / "data"
 
@@ -348,32 +349,16 @@ def test_report_does_not_depend_on_earlier_requests(tmp_path):
     assert _without_duration(later.read_text()) == _without_duration(first.read_text())
 
 
-def test_brute_never_builds_the_ising_model(monkeypatch, capsys):
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_no_solver_builds_the_ising_model(solver, monkeypatch, capsys):
     import qverify.pipeline as pipeline
 
     def refuse(qubo):
-        raise AssertionError("brute read the Ising model")
+        raise AssertionError(f"{solver} built the Ising model")
 
     monkeypatch.setattr(pipeline, "qubo_to_ising", refuse)
-    assert main(["verify", "--synthetic", "unique", "--solver", "brute"]) == 1
-    assert main(["verify", "--synthetic", "xor:n=3", "--solver", "brute"]) in (0, 1)
-    capsys.readouterr()
-
-
-def test_qsvt_builds_the_ising_model_once_per_request(monkeypatch, capsys):
-    import qverify.pipeline as pipeline
-
-    calls = []
-    original = pipeline.qubo_to_ising
-
-    def counting(qubo):
-        calls.append(qubo)
-        return original(qubo)
-
-    monkeypatch.setattr(pipeline, "qubo_to_ising", counting)
-    for request in (1, 2):
-        assert main(["verify", "--synthetic", "or:n=3", "--solver", "qsvt"]) == 1
-        assert len(calls) == request
+    for spec in ("unique", "or:n=3"):
+        assert main(["verify", "--synthetic", spec, "--solver", solver]) == 1
     capsys.readouterr()
 
 

@@ -13,7 +13,6 @@ from qverify.solvers import (
     eval_filter,
     solve_qsvt,
 )
-from qverify.solvers.report import hamiltonian_from_ising
 from qverify.synthetic import generate_synthetic
 
 
@@ -48,14 +47,14 @@ def test_block_encoding_pads_to_power_of_two():
 
 def test_build_block_encoding_scales_by_bound():
     problem = _problem("or", {"n": 3})
-    h = hamiltonian_from_ising(problem.ising)
+    h = DiagonalHamiltonian(problem.ising.n, problem.ising.energy_table())
     enc = build_block_encoding(h, problem.gap)
     assert np.isclose(enc.diagonal.max(), float(h.values.max()) / problem.gap.bound_M)
 
 
 def test_satisfiable_instance_verdict_and_rate():
     problem = _problem("unique")
-    report = solve_qsvt(problem.ising, problem.formula, problem.gap, seed=0)
+    report = solve_qsvt(problem.qubo, problem.formula, problem.gap, seed=0)
     assert report.verdict == Sat(witness=42)
     assert report.config["degree"] % 2 == 0
     # one solution in 2^6: post-selection keeps ~1/64 of the mass, filtered
@@ -65,7 +64,7 @@ def test_satisfiable_instance_verdict_and_rate():
 
 def test_rate_matches_filter_values_exactly():
     problem = _problem("unique")
-    report = solve_qsvt(problem.ising, problem.formula, problem.gap, seed=0)
+    report = solve_qsvt(problem.qubo, problem.formula, problem.gap, seed=0)
     scale = problem.gap.max_value
     delta = float(problem.gap.exact_gap)
     half = report.config["degree"] // 2
@@ -78,7 +77,7 @@ def test_rate_matches_filter_values_exactly():
 def test_contradiction_never_returns_sat():
     formula = parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
     problem = build_problem(formula)
-    report = solve_qsvt(problem.ising, problem.formula, problem.gap, seed=5)
+    report = solve_qsvt(problem.qubo, problem.formula, problem.gap, seed=5)
     assert isinstance(report.verdict, NoSolutionFound)
     # every eigenvalue sits in the suppression band, so survival is tiny
     delta = report.config["delta"]  # exact gap, clamped below 1
@@ -89,13 +88,13 @@ def test_contradiction_never_returns_sat():
 
 def test_degree_override_is_respected():
     problem = _problem("or", {"n": 3})
-    report = solve_qsvt(problem.ising, problem.formula, problem.gap, degree=4, seed=1)
+    report = solve_qsvt(problem.qubo, problem.formula, problem.gap, degree=4, seed=1)
     assert report.config["degree"] == 8
 
 
 def test_sampled_rate_tracks_exact_rate():
     problem = _problem("two-solutions-overlap")
-    report = solve_qsvt(problem.ising, problem.formula, problem.gap,
+    report = solve_qsvt(problem.qubo, problem.formula, problem.gap,
                         shots=20000, seed=7)
     sigma = np.sqrt(report.rate * (1 - report.rate) / 20000)
     assert abs(report.rate_sampled - report.rate) <= 4 * sigma + 1e-12
@@ -105,6 +104,6 @@ def test_verified_witnesses_only():
     for name, params in [("xor", {"n": 3}), ("two-solutions-overlap", {}),
                          ("three-solutions", {})]:
         problem = _problem(name, params)
-        report = solve_qsvt(problem.ising, problem.formula, problem.gap, seed=9)
+        report = solve_qsvt(problem.qubo, problem.formula, problem.gap, seed=9)
         if isinstance(report.verdict, Sat):
             assert problem.formula.evaluate(report.verdict.witness)

@@ -224,3 +224,17 @@ def test_reduction_imports_nothing_from_the_oracle():
     assert "qverify.cnf" in names
     assert not any(name == "qverify.oracle" or name.startswith("qverify.oracle.")
                    for name in names)
+
+
+def test_solvers_import_nothing_from_the_ising_side():
+    import qverify.solvers
+
+    modules = sorted(Path(qverify.solvers.__file__).parent.glob("*.py"))
+    assert len(modules) >= 5
+    ising_side = {"IsingModel", "qubo_to_ising", "hamiltonian_from_ising"}
+    for path in modules:
+        names = _imported_modules(path)
+        assert not {name.rsplit(".", 1)[-1] for name in names} & ising_side, path.name
+        attributes = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute)}
+        assert "energy_table" not in attributes, path.name

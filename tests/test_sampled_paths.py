@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import qverify.solvers.qsvt as qsvt
 from qverify.cnf import Clause, CnfFormula
+from qverify.optimizers import OptimizerSpec
+from qverify.oracle import DEFAULT_BUDGET
 from qverify.pipeline import build_problem, solve
 from qverify.reduction import GapInfo, IsingModel, Qubo
 from qverify.simulator import (
@@ -38,7 +40,6 @@ from qverify.solvers import (
 from qverify.solvers.qsvt import _levels, _scale_and_delta, joint_probabilities
 from qverify.solvers.report import (
     first_verified,
-    hamiltonian_from_ising,
     project_candidates,
     verified_sample,
 )
@@ -50,10 +51,11 @@ CATALOG = ["unique", "semi-unique", "two-solutions", "two-solutions-overlap",
            "three-solutions", "addition", "flow", "indicator", "or:n=3", "xor:n=3"]
 
 
-def _catalog_problem(spec):
+def _catalog_problem(spec, oracle_budget=DEFAULT_BUDGET):
     name, _, params = spec.partition(":")
     return build_problem(generate_synthetic(name, dict(
-        (k, int(v)) for k, v in (p.split("=") for p in params.split(",") if p))))
+        (k, int(v)) for k, v in (p.split("=") for p in params.split(",") if p))),
+        oracle_budget)
 
 
 def _reduced_problems(count=40, max_qubo_vars=12):
@@ -69,7 +71,7 @@ def _reduced_problems(count=40, max_qubo_vars=12):
 def _joint_state_reference(ising: IsingModel, poly: FilterPolynomial, scale: int):
     """The 2^(n+1) complex joint state QSVT used to build and sample: its
     probabilities and the post-selection rate."""
-    ham = hamiltonian_from_ising(ising)
+    ham = DiagonalHamiltonian(ising.n, ising.energy_table())
     filtered = ham.per_level(lambda values: eval_filter(poly, values / scale))
     dim = 1 << ising.n
     amps = np.empty(2 * dim, dtype=np.complex128)
@@ -87,7 +89,7 @@ def _assert_qsvt_distribution_is_the_joint_state(problem):
         levels, index = _levels(values)
         assert np.array_equal(levels[index], values)
         assert np.array_equal(joint_probabilities(levels, index, scale, poly), want)
-    report = solve_qsvt(problem.ising, problem.formula, problem.gap,
+    report = solve_qsvt(problem.qubo, problem.formula, problem.gap,
                         table=problem.table, seed=3)
     assert report.rate == want_rate
 
@@ -177,16 +179,29 @@ def test_build_problem_builds_the_objective_table_once(monkeypatch):
     assert 16 in sizes and min(sizes) < 16 < max(sizes)
 
 
-@pytest.mark.parametrize("solver", ["qaoa", "vqe", "qsvt"])
-def test_solvers_read_the_problem_table_not_the_energy_table(solver, monkeypatch):
-    problem = _catalog_problem("unique")
-    want = solve(problem, solver, layers=1, shots=64, seed=4)
+@pytest.mark.parametrize("spec, budget, solver", [
+    *(("unique", DEFAULT_BUDGET, solver) for solver in ("qaoa", "vqe", "qsvt")),
+    # no table: out of the oracle budget, or above the one-block table
+    *((spec, 0, solver) for spec in ("unique", "three-solutions")
+      for solver in ("qaoa", "vqe", "qsvt")),
+    *(("or:n=17", DEFAULT_BUDGET, solver) for solver in ("qaoa", "vqe")),
+])
+def test_solvers_read_the_problem_table_not_the_energy_table(spec, budget, solver,
+                                                             monkeypatch):
+    import qverify.pipeline as pipeline
 
-    def refuse(self):
-        raise AssertionError("the energy table was built again")
+    problem = _catalog_problem(spec, budget)
+    assert (problem.table is None) == (budget == 0 or problem.qubo.num_vars > 16)
+    optimizer = OptimizerSpec(max_iterations=1)
+    want = solve(problem, solver, optimizer=optimizer, layers=1, shots=64, seed=4)
+
+    def refuse(*args):
+        raise AssertionError("the Ising model or its energy table was built")
 
     monkeypatch.setattr(IsingModel, "energy_table", refuse)
-    assert solve(problem, solver, layers=1, shots=64, seed=4) == want
+    monkeypatch.setattr(pipeline, "qubo_to_ising", refuse)
+    fresh = _catalog_problem(spec, budget)  # no cached Problem.ising to hide a build
+    assert solve(fresh, solver, optimizer=optimizer, layers=1, shots=64, seed=4) == want
 
 
 @pytest.mark.parametrize("solver", ["qaoa", "vqe", "qsvt"])
@@ -201,20 +216,20 @@ def test_qsvt_range_check_still_rejects_a_diagonal_above_the_scale():
     problem = _catalog_problem("unique")
     small = GapInfo(bound_M=1, estimated_gap=Fraction(1, 1))
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        solve_qsvt(problem.ising, problem.formula, small, table=problem.table)
+        solve_qsvt(problem.qubo, problem.formula, small, table=problem.table)
     wide = problem.table * 1000  # levels above 2^n: the values are the levels
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        solve_qsvt(problem.ising, problem.formula, problem.gap, table=wide)
+        solve_qsvt(problem.qubo, problem.formula, problem.gap, table=wide)
     negative = problem.table - 1
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        solve_qsvt(problem.ising, problem.formula, problem.gap, table=negative)
+        solve_qsvt(problem.qubo, problem.formula, problem.gap, table=negative)
 
 
 def test_qsvt_norm_check_still_rejects_a_filter_above_one(monkeypatch):
     problem = _catalog_problem("unique")
     monkeypatch.setattr(qsvt, "eval_filter", lambda poly, x: np.full_like(x, 2.0))
     with pytest.raises(ValueError, match="norm"):
-        solve_qsvt(problem.ising, problem.formula, problem.gap, table=problem.table)
+        solve_qsvt(problem.qubo, problem.formula, problem.gap, table=problem.table)
 
 
 def _assert_grover_points_are_the_states_squared(formula, extra):
@@ -378,7 +393,7 @@ def _qsvt_full_draw_reference(problem, shots, seed):
 def _assert_qsvt_matches_the_full_draw(problem):
     for shots in (1, 64, 2048):
         for seed in (0, 1, 5, 2024):
-            report = solve_qsvt(problem.ising, problem.formula, problem.gap,
+            report = solve_qsvt(problem.qubo, problem.formula, problem.gap,
                                 table=problem.table, shots=shots, seed=seed)
             verdict, post_selected, best = _qsvt_full_draw_reference(problem, shots, seed)
             assert report.verdict == verdict  # a NoSolutionFound compares its reason

@@ -19,6 +19,9 @@ from qverify.reduction import (
     cnf_to_qubo,
     qubo_to_ising,
 )
+from qverify.synthetic import generate_synthetic
+
+from conftest import random_formula
 
 
 @st.composite
@@ -78,6 +81,25 @@ def test_energy_table_is_objective_table_as_float(formula):
     expected = qubo.objective_table().astype(np.float64)
     assert energies.dtype == np.float64
     assert energies.tobytes() == expected.tobytes()
+
+
+def _solver_fallback_qubos():
+    """Reductions above the one-block table, where a solver with no Problem
+    table builds `Qubo.objective_table` itself: `or` at 17 and 20 variables,
+    and ten random formulas of 17-20 QUBO variables with auxiliaries."""
+    qubos = [cnf_to_qubo(generate_synthetic("or", {"n": n})) for n in (17, 20)]
+    rng = np.random.default_rng(17)
+    while len(qubos) < 12:
+        qubo = cnf_to_qubo(random_formula(rng, max_vars=14, max_clauses=8, max_width=5))
+        if 17 <= qubo.num_vars <= 20 and qubo.num_auxiliary:
+            qubos.append(qubo)
+    return qubos
+
+
+def test_energy_table_is_objective_table_as_float_above_the_one_block_table():
+    for qubo in _solver_fallback_qubos():
+        energies = qubo_to_ising(qubo).energy_table()
+        assert energies.tobytes() == qubo.objective_table().astype(np.float64).tobytes()
 
 
 def _assert_histogram_matches_scalar(qubo):

@@ -9,7 +9,6 @@ from qverify.solvers import (
     NoSolutionFound,
     Sat,
     first_verified,
-    hamiltonian_from_ising,
     project_candidates,
     qaoa_energy_gradient,
     qaoa_state,
@@ -23,8 +22,9 @@ from qverify.synthetic import generate_synthetic
 
 def _hamiltonian(dimacs: str) -> tuple:
     formula = parse_dimacs(dimacs)
-    ising = qubo_to_ising(cnf_to_qubo(formula))
-    return formula, ising, hamiltonian_from_ising(ising)
+    qubo = cnf_to_qubo(formula)
+    ising = qubo_to_ising(qubo)
+    return formula, qubo, DiagonalHamiltonian(ising.n, ising.energy_table())
 
 
 def _energy(h: DiagonalHamiltonian, state) -> float:
@@ -96,9 +96,9 @@ def test_vqe_state_rejects_bad_parameter_count():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_qaoa_solves_single_clause(kind):
-    formula, ising, _ = _hamiltonian("p cnf 2 1\n1 2 0\n")
+    formula, qubo, _ = _hamiltonian("p cnf 2 1\n1 2 0\n")
     report = solve_qaoa(
-        formula=formula, ising=ising,
+        formula=formula, qubo=qubo,
         optimizer=OptimizerSpec(kind=kind, max_iterations=60), seed=11,
     )
     assert isinstance(report.verdict, Sat)
@@ -108,9 +108,9 @@ def test_qaoa_solves_single_clause(kind):
 
 
 def test_vqe_solves_single_clause():
-    formula, ising, _ = _hamiltonian("p cnf 2 1\n1 -2 0\n")
+    formula, qubo, _ = _hamiltonian("p cnf 2 1\n1 -2 0\n")
     report = solve_vqe(
-        formula=formula, ising=ising,
+        formula=formula, qubo=qubo,
         optimizer=OptimizerSpec(max_iterations=80), seed=3,
     )
     assert isinstance(report.verdict, Sat)
@@ -118,9 +118,9 @@ def test_vqe_solves_single_clause():
 
 
 def test_contradiction_reports_no_solution():
-    formula, ising, _ = _hamiltonian("p cnf 1 2\n1 0\n-1 0\n")
+    formula, qubo, _ = _hamiltonian("p cnf 1 2\n1 0\n-1 0\n")
     report = solve_qaoa(
-        formula=formula, ising=ising,
+        formula=formula, qubo=qubo,
         optimizer=OptimizerSpec(max_iterations=40), seed=0,
     )
     assert isinstance(report.verdict, NoSolutionFound)
@@ -129,9 +129,9 @@ def test_contradiction_reports_no_solution():
 
 def test_addition_instance_at_three_layers():
     formula = generate_synthetic("addition", {"bits": 1})
-    ising = qubo_to_ising(cnf_to_qubo(formula))
+    qubo = cnf_to_qubo(formula)
     report = solve_qaoa(
-        formula=formula, ising=ising, layers=3,
+        formula=formula, qubo=qubo, layers=3,
         optimizer=OptimizerSpec(max_iterations=200), seed=42,
     )
     assert isinstance(report.verdict, Sat)
