@@ -206,13 +206,13 @@ def _assert_streamed_matches_full_table(qubo):
 
 
 @st.composite
-def prefixed_qubos(draw, max_vars=8):
+def prefixed_qubos(draw, max_vars=8, bounds=(3, 50, 10 ** 6)):
     """QUBOs whose first num_original variables are original, the rest
     auxiliary; coefficients narrow (bincounted) or wide (merged uniques),
     some of them keyed (j, i) with j > i."""
     n = draw(st.integers(0, max_vars))
     num_original = draw(st.integers(0, n))
-    bound = draw(st.sampled_from([3, 50, 10 ** 6]))
+    bound = draw(st.sampled_from(bounds))
     coeffs = {}
     for i, j in [(i, j) for i in range(n) for j in range(i, n)]:
         c = draw(st.integers(-bound, bound))
@@ -326,3 +326,216 @@ def test_walked_spectrum_keeps_no_table(monkeypatch, blocks):
     for qubo in qubos:
         walked = qubo.num_vars > blocks[0]
         assert (qubo_spectrum(qubo).table is None) == walked
+
+
+def _route_spectrum(route, qubo):
+    """(keys, counts, satisfying) as `qubo_spectrum` reads them off one
+    route, called directly: the walk, or elimination with its minimizers."""
+    if route == "walk":
+        keys, counts, mask, _ = oracle._stream(qubo)
+    else:
+        keys, counts, minimizers = oracle._eliminate(qubo)
+        mask = minimizers() if keys[0] == 0 else None
+    satisfying = np.flatnonzero(mask) if keys[0] == 0 else np.empty(0, dtype=np.int64)
+    return keys, counts, satisfying
+
+
+def _assert_route_matches_full_table(route, qubo):
+    keys, counts, satisfying = _route_spectrum(route, qubo)
+    histogram, want = _full_table_spectrum(qubo)
+    assert list(zip(keys.tolist(), counts.tolist())) == list(histogram.items())
+    assert keys[0] == min(histogram) and keys[-1] == max(histogram)
+    assert counts[0] == histogram[min(histogram)]
+    assert satisfying.dtype == np.int64
+    assert satisfying.tobytes() == want.tobytes()
+
+
+def _assert_minimizers_match_full_table(qubo):
+    # the minimizers of any minimum, not only of 0, projected onto the prefix
+    keys, _, minimizers = oracle._eliminate(qubo)
+    table = _quadratic_table(qubo.dense(), qubo.offset)
+    want = (table == table.min()).reshape(-1, 1 << qubo.num_original).any(axis=0)
+    assert keys[0] == table.min()
+    assert np.array_equal(minimizers(), want)
+
+
+def _assert_both_routes_match_full_table(qubo):
+    # blocks wide enough that elimination takes every QUBO of at most 8 variables
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "BLOCK_BITS", 20)
+        _assert_route_matches_full_table("eliminate", qubo)
+        _assert_minimizers_match_full_table(qubo)
+    _assert_route_matches_full_table("walk", qubo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefixed_qubos(bounds=(3, 50)))
+def test_both_routes_equal_full_table_for_hand_built_qubos(qubo):
+    _assert_both_routes_match_full_table(qubo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas(max_vars=7, max_clauses=5))
+def test_both_routes_equal_full_table_for_reduced_formulas(formula):
+    _assert_both_routes_match_full_table(cnf_to_qubo(formula))
+
+
+def _prefixed(n, num_original, coeffs, offset=0):
+    return Qubo(num_vars=n, coeffs=coeffs, offset=offset,
+                variable_map=tuple(Original(v + 1) for v in range(num_original))
+                + tuple(Auxiliary(0, s) for s in range(n - num_original)))
+
+
+@pytest.mark.parametrize("qubo", [
+    _prefixed(0, 0, {}),
+    _prefixed(0, 0, {}, offset=4),
+    _prefixed(0, 0, {}, offset=-3),
+    _prefixed(3, 0, {(0, 0): 1, (0, 1): -1, (1, 2): 2}),
+    _prefixed(3, 0, {(0, 0): 2, (1, 1): 1}, offset=1),
+    _prefixed(5, 5, {(0, 0): -1, (4, 4): 1}),
+    _prefixed(6, 3, {(0, 0): 1, (0, 5): -1, (3, 3): 2}),
+    _prefixed(4, 2, {}),
+    _prefixed(4, 4, {(1, 1): 0, (2, 0): 0}),
+], ids=["n=0", "n=0, offset 4", "n=0, offset -3", "no original, zero",
+        "no original, no zero", "negative minimum beside a zero", "isolated variables",
+        "all-zero objective", "all-zero coefficients"])
+def test_both_routes_on_named_cases(qubo):
+    _assert_both_routes_match_full_table(qubo)
+    assert oracle._eliminate(qubo) is not None
+
+
+def test_negative_minimum_beside_a_zero_is_no_satisfying_set_on_either_route():
+    qubo = _prefixed(5, 5, {(0, 0): -1, (4, 4): 1})
+    for route in ("walk", "eliminate"):
+        keys, counts, satisfying = _route_spectrum(route, qubo)
+        assert keys.tolist() == [-1, 0, 1] and counts.tolist() == [8, 16, 8]
+        assert satisfying.size == 0
+
+
+def _sized_formula(seed, qubo_vars, satisfiable):
+    """A 2/3-CNF of exactly ``qubo_vars`` QUBO variables: a quarter of them
+    3-clause auxiliaries, 1.6 clauses per CNF variable.  A satisfiable one
+    keeps a hidden assignment; an unsatisfiable one holds the four 2-clauses
+    over two variables."""
+    rng = np.random.default_rng(seed)
+    n3 = round(qubo_vars / 4)
+    n = qubo_vars - n3
+    n2 = max(4, round(n * 1.6) - n3) - (0 if satisfiable else 4)
+    hidden = rng.integers(0, 2, size=n)
+    clauses = []
+    for width in [2] * n2 + [3] * n3:
+        variables = rng.choice(n, size=width, replace=False)
+        negated = rng.integers(0, 2, size=width)
+        if satisfiable and (hidden[variables] == negated).all():
+            negated[0] ^= 1
+        clauses.append(Clause.of(*(int(-(v + 1) if s else v + 1)
+                                   for v, s in zip(variables, negated))))
+    if not satisfiable:
+        a, b = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
+        clauses += [Clause.of(sa * a, sb * b) for sa in (1, -1) for sb in (1, -1)]
+    return CnfFormula(n, tuple(clauses))
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("qubo_vars", [20, 22, 24])
+@pytest.mark.parametrize("satisfiable", [True, False])
+def test_narrow_reductions_of_20_to_24_variables_are_eliminated(monkeypatch, qubo_vars,
+                                                                satisfiable, seed):
+    formula = _sized_formula(100 * seed + qubo_vars, qubo_vars, satisfiable)
+    qubo = cnf_to_qubo(formula)
+    assert qubo.num_vars == qubo_vars and qubo.num_auxiliary
+    keys, counts, mask, _ = oracle._stream(qubo)
+    monkeypatch.setattr(oracle, "ELIMINATION_VARIABLES", 20)
+    monkeypatch.setattr(oracle, "_stream", _refuse("_stream"))
+    summary = qubo_spectrum(qubo)
+    assert summary.value_histogram == dict(zip(keys.tolist(), counts.tolist()))
+    assert (summary.min_value == 0) == satisfiable
+    if satisfiable:
+        assert summary.satisfying.tobytes() == np.flatnonzero(mask).tobytes()
+        assert summary.satisfying_set == tuple(enumerate_sat(formula))
+    assert summary.table is None
+
+
+@pytest.mark.parametrize("qubo_vars", [17, 18, 19, 20, 21, 22, 24])
+def test_reductions_walk_below_elimination_variables_and_are_eliminated_from_it(
+        monkeypatch, qubo_vars):
+    eliminated = qubo_vars >= oracle.ELIMINATION_VARIABLES
+    refused = "_stream" if eliminated else "_eliminate"
+    monkeypatch.setattr(oracle, refused, _refuse(refused))
+    for satisfiable in (True, False):
+        formula = _sized_formula(qubo_vars, qubo_vars, satisfiable)
+        summary = qubo_spectrum(cnf_to_qubo(formula))
+        assert summary.satisfying_set == tuple(enumerate_sat(formula))
+        assert summary.table is None
+
+
+def test_a_dense_qubo_walks_without_allocating_a_bucket(monkeypatch):
+    n = 22
+    rng = np.random.default_rng(22)
+    coeffs = {(i, j): int(rng.choice([-2, -1, 1, 2])) for i in range(n) for j in range(i, n)}
+    qubo = _prefixed(n, 12, coeffs, offset=5)
+    tracemalloc.start()
+    try:
+        assert oracle._eliminate(qubo) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a bucket of the first eliminated variable would hold 2^22 rows
+    assert peak < 64 << 10
+    keys, counts, _, _ = oracle._stream(qubo)
+    eliminate, refusals = oracle._eliminate, []
+
+    def refused(qubo):
+        refusals.append(eliminate(qubo))
+        return refusals[-1]
+
+    monkeypatch.setattr(oracle, "_eliminate", refused)
+    summary = qubo_spectrum(qubo)
+    assert refusals == [None]
+    assert summary.value_histogram == dict(zip(keys.tolist(), counts.tolist()))
+
+
+def test_many_zeros_take_their_mask_from_the_walk(monkeypatch):
+    # all 2^21 assignments of p cnf 21 0 are zeros, past 2^(21 - 6)
+    eliminate, walk = oracle._eliminate, oracle._stream
+    walked = []
+
+    def counts_only(qubo):
+        keys, counts, _ = eliminate(qubo)
+        return keys, counts, _refuse("minimizers")
+
+    def stream(qubo):
+        walked.append(qubo.num_vars)
+        return walk(qubo)
+
+    monkeypatch.setattr(oracle, "ELIMINATION_VARIABLES", 21)
+    monkeypatch.setattr(oracle, "_eliminate", counts_only)
+    monkeypatch.setattr(oracle, "_stream", stream)
+    summary = qubo_spectrum(cnf_to_qubo(CnfFormula(21, ())))
+    assert walked == [21]
+    assert summary.value_histogram == {0: 1 << 21}
+    assert summary.satisfying.tobytes() == np.arange(1 << 21, dtype=np.int64).tobytes()
+
+
+def test_24_satisfiable_variables_are_eliminated_under_2_mb(monkeypatch):
+    formula = _sized_formula(7, 24, True)
+    qubo = cnf_to_qubo(formula)
+    assert qubo.num_vars == 24 and qubo.num_auxiliary == 6
+    monkeypatch.setattr(oracle, "_stream", _refuse("_stream"))
+    tracemalloc.start()
+    try:
+        summary = qubo_spectrum(qubo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.min_value == 0 and summary.satisfying.size
+    assert summary.satisfying_set == tuple(enumerate_sat(formula))
+    assert sum(summary.value_histogram.values()) == 1 << 24
+    assert peak < 2 << 20
+
