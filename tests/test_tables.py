@@ -360,12 +360,17 @@ def _assert_minimizers_match_full_table(qubo):
 
 
 def _assert_both_routes_match_full_table(qubo):
-    # blocks wide enough that elimination takes every QUBO of at most 8 variables
+    # blocks wide enough that elimination takes every QUBO of at most 8
+    # variables, then 8-entry blocks, so that above 3 variables the walk
+    # walks rather than counting the one-block table
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "BLOCK_BITS", 20)
         _assert_route_matches_full_table("eliminate", qubo)
         _assert_minimizers_match_full_table(qubo)
-    _assert_route_matches_full_table("walk", qubo)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "ONE_BLOCK_VARIABLES", 3)
+        patch.setattr(oracle, "BLOCK_BITS", 3)
+        _assert_route_matches_full_table("walk", qubo)
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,14 +407,6 @@ def _prefixed(n, num_original, coeffs, offset=0):
 def test_both_routes_on_named_cases(qubo):
     _assert_both_routes_match_full_table(qubo)
     assert oracle._eliminate(qubo) is not None
-
-
-def test_negative_minimum_beside_a_zero_is_no_satisfying_set_on_either_route():
-    qubo = _prefixed(5, 5, {(0, 0): -1, (4, 4): 1})
-    for route in ("walk", "eliminate"):
-        keys, counts, satisfying = _route_spectrum(route, qubo)
-        assert keys.tolist() == [-1, 0, 1] and counts.tolist() == [8, 16, 8]
-        assert satisfying.size == 0
 
 
 def _sized_formula(seed, qubo_vars, satisfiable):
