@@ -115,22 +115,34 @@ def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
 
     Built by doubling: for x < 2^k, setting bit k adds
     row_k[x] = U_kk + sum_{j<k} U_jk x_j, where U folds q onto its upper
-    triangle, and row_k is doubled up from U_kk one lower bit at a time.
-    Row k is built in place in out[2^k:2^(k+1)], then the lower half is
-    added onto it: O(2^n) time, and no memory beyond the table itself.
+    triangle.  The first 2^8 entries of every row are doubled up at once, as
+    the columns of one (2^8, n) side table, one whole-table add per low bit;
+    a longer row is doubled up from there one higher bit at a time.  Row k
+    is built in place in out[2^k:2^(k+1)], then the lower half is added onto
+    it: O(2^n) time, and no memory beyond the table and the side table
+    (36 KiB at 18 variables).  int64 sums wrap exactly, so any order of the
+    adds gives the same bits.
     """
     n = q.shape[0]
     if n > MAX_MASK_VARIABLES:
         raise ValueError(f"table over {n} variables exceeds the "
                          f"{MAX_MASK_VARIABLES}-variable cap")
     upper = np.triu(q) + np.tril(q, -1).T
+    m = min(n, 8)
+    low = np.empty((1 << m, n), dtype=np.int64)  # low[x, k] = row_k[x], x < 2^m
+    low[0] = np.diagonal(upper)
+    for j in range(m):
+        np.add(low[:1 << j], upper[j], out=low[1 << j:2 << j])
     out = np.empty(1 << n, dtype=np.int64)
     out[0] = offset
     for k in range(n):
         half = 1 << k
         row = out[half:2 * half]
-        row[0] = upper[k, k]
-        for j in range(k):
+        if k <= m:
+            np.add(out[:half], low[:half, k], out=row)
+            continue
+        row[:1 << m] = low[:, k]
+        for j in range(m, k):
             np.add(row[:1 << j], upper[j, k], out=row[1 << j:2 << j])
         row += out[:half]
     return out

@@ -108,7 +108,7 @@ class DiagonalHamiltonian:
         if self._levels is None:
             return fn(self.values)
         levels, top = self._levels
-        return fn(np.arange(top + 1, dtype=np.float64))[..., levels]
+        return np.take(fn(np.arange(top + 1, dtype=np.float64)), levels, axis=-1)
 
     def phases(self, gammas) -> np.ndarray:
         """exp(-i gamma H) for a scalar gamma, or one row per entry of a 1-D
@@ -239,7 +239,7 @@ def apply_ansatz(state: Statevector, layers: int, params: np.ndarray,
     for layer in range(layers + 1):
         amps = _gate_layer(amps, np.moveaxis(gates[..., layer * n:(layer + 1) * n, :, :], -3, 0))
         if layer < layers and n >= 2:
-            amps = amps[..., _cnot_ring(n)]
+            amps = np.take(amps, _cnot_ring(n), axis=-1)
     return Statevector(n, amps) if amps.ndim == 1 else _checked(n, amps, batch=True)
 
 
@@ -295,11 +295,12 @@ def grover_amplitudes(signs: np.ndarray,
     num_qubits = signs.size.bit_length() - 1
     amps = uniform_superposition(num_qubits).amplitudes.copy()
     marked, unmarked = int(np.argmin(signs)), int(np.argmax(signs))
+    factors = signs.astype(np.complex128)  # the multiply's own cast, made once
     wanted = set(iterations)
     pairs = {}
     for t in range(max(wanted, default=0) + 1):
         if t:
-            amps *= signs
+            amps *= factors
             np.subtract(2.0 * amps.mean(), amps, out=amps)
         if t in wanted:
             pairs[t] = (amps[marked], amps[unmarked])

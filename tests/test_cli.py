@@ -1,4 +1,6 @@
 import json
+import platform
+import resource
 from pathlib import Path
 
 import pytest
@@ -382,3 +384,20 @@ def test_brute_memory_stays_near_the_table(tmp_path, capsys):
     assert code == 1
     assert peak <= 12 << 18
     capsys.readouterr()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator policy")
+def test_repeated_solve_keeps_its_heap_pages(tmp_path, capsys):
+    # a 16-variable UNSAT 2-CNF, so a 16-qubit qsvt request with no auxiliary;
+    # with the heap trimmed after each request, every repeat took 390-499
+    # minor faults, and with the pages kept it takes a handful
+    clauses = ["1 0", "-1 0"] + [f"{v} {v + 1} 0" for v in range(1, 16)]
+    path = tmp_path / "unsat16.cnf"
+    path.write_text(f"p cnf 16 {len(clauses)}\n" + "\n".join(clauses) + "\n")
+    argv = ["verify", "--dimacs", str(path), "--solver", "qsvt"]
+    assert main(argv) == 0 and main(argv) == 0
+    capsys.readouterr()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 64

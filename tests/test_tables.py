@@ -65,6 +65,15 @@ def test_objective_table_small_cases():
     assert empty.objective_table().tolist() == [-7]
     single = Qubo(num_vars=1, coeffs={(0, 0): -3}, offset=2, variable_map=(Original(1),))
     assert single.objective_table().tolist() == [2, -1]
+    # 11 variables: rows above the 8 low bits double up past the side table
+    n = 11
+    coeffs = {(i, j): (-1) ** (i + j) * (7 * i + 3 * j + 1)
+              for i in range(n) for j in range(i, n) if (i * j + i) % 3}
+    coeffs[(4, 4)] = -13
+    coeffs[(10, 2)] = -40  # a lower-triangle key folds onto (2, 10)
+    hand = Qubo(num_vars=n, coeffs=coeffs, offset=-5,
+                variable_map=tuple(Original(v + 1) for v in range(n)))
+    assert hand.objective_table().tolist() == [hand.objective(a) for a in range(1 << n)]
 
 
 def test_objective_table_refuses_more_than_24_variables():
