@@ -212,7 +212,12 @@ def qaoa_state(hamiltonian: DiagonalHamiltonian, gammas, betas,
         raise ValueError("hamiltonian size does not match the state")
     amps = np.broadcast_to(state.amplitudes, gammas.shape[:-1] + state.amplitudes.shape)
     for gamma, beta in zip(gammas.T, betas.T):
-        amps = amps * hamiltonian.phases(gamma)
+        # amps stays the first operand: complex products are not bitwise
+        # commutative, and numpy's elision of a large temporary phase
+        # table would otherwise swap the operands of a batch but not of
+        # a single state
+        phases = hamiltonian.phases(gamma)
+        amps = np.multiply(amps, phases, out=phases)
         amps = _gate_layer(amps, [_rx_matrix(2.0 * beta)] * n)
     return Statevector(n, amps) if amps.ndim == 1 else _checked(n, amps, batch=True)
 

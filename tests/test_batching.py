@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qverify.optimizers import KINDS, OptimizationResult, OptimizerSpec, minimize
@@ -247,6 +247,7 @@ def test_batched_gate_layer_rows_are_the_single_state_layers(n, batch, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10), batch_sizes, st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(n=10, batch=20, layers=2, seed=0)  # a 320 KB phase table, past numpy's elision size
 def test_batched_qaoa_rows_are_the_single_states(n, batch, layers, seed):
     rng = np.random.default_rng(seed)
     ham = DiagonalHamiltonian(n, rng.integers(0, 9, size=1 << n).astype(np.float64))
