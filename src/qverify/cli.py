@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import inspect
 import platform
 import sys
 import time
@@ -22,14 +23,7 @@ from .oracle import DEFAULT_BUDGET
 from .optimizers import KINDS, OptimizerSpec
 from .pipeline import SOLVERS, build_problem, dump_json, report_dict, solve, write_text_atomic
 from .solvers import Sat
-from .sweep import (
-    DEFAULT_CONVERGENCE_INSTANCES,
-    DEFAULT_RATE_INSTANCES,
-    parse_instance_spec,
-    sweep_convergence,
-    sweep_heatmap,
-    sweep_rates,
-)
+from .sweep import parse_instance_spec, sweep_convergence, sweep_heatmap, sweep_rates
 from .synthetic import generate_synthetic, instance_names
 
 EXIT_NO_FLAW = 0
@@ -81,51 +75,61 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--check", action="append", default=[],
                         choices=sorted(checker_flag_table()),
                         help="error condition for the model checker (repeatable)")
-    verify.add_argument("--unwind", type=_int_in(1), default=1, help="loop unwinding bound")
+    verify.add_argument("--unwind", type=_int_in(1), help="loop unwinding bound")
     verify.add_argument("--solver", choices=SOLVERS, default="brute")
-    verify.add_argument("--optimizer", choices=KINDS, default="trust-region")
-    verify.add_argument("--layers", type=_int_in(1), default=None,
-                        help="circuit depth for qaoa/vqe")
-    verify.add_argument("--degree", type=_int_in(1), default=None,
+    verify.add_argument("--optimizer", dest="kind", choices=KINDS)
+    verify.add_argument("--layers", type=_int_in(1), help="circuit depth for qaoa/vqe")
+    verify.add_argument("--degree", type=_int_in(1),
                         help="filter half-degree for qsvt (default: automatic)")
-    verify.add_argument("--shots", type=_int_in(1), default=2048)
-    verify.add_argument("--max-iterations", type=_int_in(1), default=200)
-    verify.add_argument("--seed", type=_int_in(0), default=0)
+    verify.add_argument("--shots", type=_int_in(1))
+    verify.add_argument("--max-iterations", type=_int_in(1))
+    verify.add_argument("--seed", type=_int_in(0))
     verify.add_argument("--oracle-budget", type=_int_in(0, DEFAULT_BUDGET),
-                        default=DEFAULT_BUDGET,
                         help=f"exhaustive-enumeration cap, in variables (0..{DEFAULT_BUDGET})")
-    verify.add_argument("--out", type=Path, default=None, help="write the JSON report here")
-    verify.add_argument("--trace-file", type=Path, default=None,
-                        help="write the raw convergence trace as CSV")
+    verify.add_argument("--out", type=Path, help="write the JSON report here")
+    verify.add_argument("--trace-file", type=Path, help="write the raw convergence trace as CSV")
 
     sweep = sub.add_parser("sweep", help="grid studies emitting CSVs")
     sweep_sub = sweep.add_subparsers(dest="study", required=True)
 
+    # each sweep's dests are its function's keywords
     conv = sweep_sub.add_parser("convergence", help="optimizer curves for qaoa and vqe")
-    conv.add_argument("--out", type=Path, required=True, help="output directory")
-    conv.add_argument("--instance", action="append", default=None,
+    conv.set_defaults(run=sweep_convergence)
+    conv.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, required=True,
+                      help="output directory")
+    conv.add_argument("--instance", dest="instances", action="append",
                       metavar="NAME[:k=v,...]")
-    conv.add_argument("--runs", type=_int_in(1), default=5)
-    conv.add_argument("--seed", type=_int_in(0), default=42)
-    conv.add_argument("--max-iterations", type=_int_in(1), default=200)
-    conv.add_argument("--jobs", type=_int_in(1), default=1)
+    conv.add_argument("--runs", type=_int_in(1))
+    conv.add_argument("--seed", type=_int_in(0))
+    conv.add_argument("--max-iterations", type=_int_in(1))
+    conv.add_argument("--jobs", type=_int_in(1))
 
     rates = sweep_sub.add_parser("rates", help="qsvt success rates across the catalog")
-    rates.add_argument("--out", type=Path, required=True, help="output directory")
-    rates.add_argument("--instance", action="append", default=None,
+    rates.set_defaults(run=sweep_rates)
+    rates.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, required=True,
+                       help="output directory")
+    rates.add_argument("--instance", dest="instances", action="append",
                        metavar="NAME[:k=v,...]")
-    rates.add_argument("--shots", type=_int_in(1), default=100_000)
-    rates.add_argument("--seed", type=_int_in(0), default=42)
-    rates.add_argument("--jobs", type=_int_in(1), default=1)
+    rates.add_argument("--shots", type=_int_in(1))
+    rates.add_argument("--seed", type=_int_in(0))
+    rates.add_argument("--jobs", type=_int_in(1))
 
     heat = sweep_sub.add_parser("heatmap", help="filter quality over degree and gap")
-    heat.add_argument("--out", type=Path, required=True, help="output directory")
-    heat.add_argument("--max-degree", type=_int_in(1), default=60,
-                      help="largest half-degree d")
-    heat.add_argument("--max-inverse-gap", type=_int_in(2), default=20,
-                      help="smallest gap is 1 over this")
+    heat.set_defaults(run=sweep_heatmap)
+    heat.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, required=True,
+                      help="output directory")
+    heat.add_argument("--max-degree", dest="max_half_degree", metavar="MAX_DEGREE",
+                      type=_int_in(1), help="largest half-degree d")
+    heat.add_argument("--max-inverse-gap", type=_int_in(2), help="smallest gap is 1 over this")
 
     return parser
+
+
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the request named.  The rest are
+    left to the defaults of the function they feed, their one home."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _load_formula(args) -> tuple[CnfFormula, str]:
@@ -135,7 +139,7 @@ def _load_formula(args) -> tuple[CnfFormula, str]:
     if args.dimacs is not None:
         return parse_dimacs(args.dimacs.read_text()), str(args.dimacs)
     config = CheckerConfig(source=args.source, checks=tuple(args.check),
-                           unwind=args.unwind)
+                           **_given(args, "unwind"))
     return run_model_checker(config), str(args.source)
 
 
@@ -147,10 +151,10 @@ def _cmd_verify(args) -> int:
         # reduction would first build Python objects for every declared variable
         raise ValueError(f"{formula.num_variables} CNF variables exceed "
                          f"{DEFAULT_BUDGET}, the most any solver takes")
-    problem = build_problem(formula, oracle_budget=args.oracle_budget)
-    optimizer = OptimizerSpec(kind=args.optimizer, max_iterations=args.max_iterations)
-    report = solve(problem, args.solver, optimizer=optimizer, layers=args.layers,
-                   degree=args.degree, shots=args.shots, seed=args.seed)
+    problem = build_problem(formula, **_given(args, "oracle_budget"))
+    optimizer = OptimizerSpec(**_given(args, "kind", "max_iterations"))
+    report = solve(problem, args.solver, optimizer=optimizer,
+                   **_given(args, "layers", "degree", "shots", "seed"))
     if args.trace_file is not None:
         rows = [f"{i},{v!r}" for i, v in report.convergence_trace]
         write_text_atomic(args.trace_file, "\n".join(["iteration,value", *rows]) + "\n")
@@ -168,20 +172,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.study == "convergence":
-        path = sweep_convergence(
-            args.out, tuple(args.instance or DEFAULT_CONVERGENCE_INSTANCES),
-            runs=args.runs, seed=args.seed, max_iterations=args.max_iterations,
-            jobs=args.jobs,
-        )
-    elif args.study == "rates":
-        path = sweep_rates(
-            args.out, tuple(args.instance or DEFAULT_RATE_INSTANCES),
-            seed=args.seed, shots=args.shots, jobs=args.jobs,
-        )
-    else:
-        path = sweep_heatmap(args.out, max_half_degree=args.max_degree,
-                             max_inverse_gap=args.max_inverse_gap)
+    path = args.run(**_given(args, *inspect.signature(args.run).parameters))
     sys.stdout.write(f"{path}\n")
     return EXIT_NO_FLAW
 

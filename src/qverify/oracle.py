@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .cnf import CnfFormula, satisfying_mask
-from .reduction import Original, Qubo, _quadratic_table
+from .reduction import Original, Qubo, _quadratic_table, _subset_sums
 
 DEFAULT_BUDGET = 24
 
@@ -76,9 +76,9 @@ ONE_BLOCK_VARIABLES = 16
 BLOCK_BITS = 14
 
 
-def _blocks(upper: np.ndarray, offset: int, m: int):
+def _blocks(upper: np.ndarray, offset: int):
     """Yield (h, block): x^T U x + offset over x = h * 2^m + lo, for the
-    upper-triangular U = ``upper``.
+    upper-triangular U = ``upper`` and m = BLOCK_BITS.
 
     The low m bits form the block, built once by `_quadratic_table`.  Setting
     high bit b adds the linear column sum_j lo_j U[j, m + b] over the low
@@ -86,14 +86,13 @@ def _blocks(upper: np.ndarray, offset: int, m: int):
     h walks in Gray-code order, so each next block is one column and one
     scalar away from the last.  The block is updated in place.
     """
-    n = upper.shape[0]
+    n, m = upper.shape[0], BLOCK_BITS
     block = _quadratic_table(upper[:m, :m], offset)
     yield 0, block
     high = _quadratic_table(upper[m:, m:], 0)
     # columns[b][lo] = sum_j lo_j U[j, m + b], all doubled up one low bit at a time
     columns = np.zeros((n - m, 1 << m), dtype=np.int64)
-    for j in range(m):
-        np.add(columns[:, :1 << j], upper[j, m:, None], out=columns[:, 1 << j:2 << j])
+    _subset_sums(upper[:m, m:], columns.T)
     h = 0
     for g in range(1, 1 << (n - m)):
         b = (g & -g).bit_length() - 1
@@ -138,7 +137,7 @@ def _stream(qubo: Qubo):
         lower = 0
     span = qubo.offset + sum(max(c, 0) for c in qubo.coeffs.values()) - lower + 1
     if table is None:
-        blocks = _blocks(qubo.dense(), qubo.offset - lower, m)
+        blocks = _blocks(qubo.dense(), qubo.offset - lower)
     else:
         blocks = [(0, table - lower if lower else table)]
     bins = np.zeros(span, dtype=np.int64) if span <= 1 << m else None
@@ -323,8 +322,7 @@ def _eliminate(qubo: Qubo):
         cost = np.empty((2, 1 << k), dtype=np.int64)
         cost[0] = -low
         cost[1, 0] = linear - low
-        for a, u in enumerate(reversed(scope)):
-            np.add(cost[1, :1 << a], terms.get(u, 0), out=cost[1, 1 << a:2 << a])
+        _subset_sums([terms.get(u, 0) for u in reversed(scope)], cost[1])
         costs.append(cost)
         out = np.zeros((1 << k, size + abs(linear) + sum(map(abs, terms.values()))),
                        dtype=np.int64)
@@ -373,7 +371,7 @@ def _spectrum(qubo: Qubo):
     is the minimum of more than 2^(n-6) assignments the walk finds them.
     """
     n = qubo.num_vars
-    if n > ONE_BLOCK_VARIABLES and n >= ELIMINATION_VARIABLES:
+    if n >= ELIMINATION_VARIABLES:
         eliminated = _eliminate(qubo)
         if eliminated is not None:
             keys, counts, minimizers = eliminated

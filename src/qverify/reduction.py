@@ -110,6 +110,15 @@ def eval_poly(poly: QuadPoly, assignment: int) -> int:
     return total
 
 
+def _subset_sums(weights, out: np.ndarray) -> None:
+    """Fill out[x] = out[0] + sum of weights[j] over the set bits j of x,
+    along axis 0, for x < 2^len(weights): each bit j doubles the filled
+    prefix out[:2^j] into out[2^j:2^(j+1)], adding weights[j].  int64 sums
+    wrap exactly, so the result is the direct sum's, bit for bit."""
+    for j in range(len(weights)):
+        np.add(out[:1 << j], weights[j], out=out[1 << j:2 << j])
+
+
 def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
     """x^T q x + offset for all 2^n binary x (int64), assignment index order.
 
@@ -117,11 +126,11 @@ def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
     row_k[x] = U_kk + sum_{j<k} U_jk x_j, where U folds q onto its upper
     triangle.  The first 2^8 entries of every row are doubled up at once, as
     the columns of one (2^8, n) side table, one whole-table add per low bit;
-    a longer row is doubled up from there one higher bit at a time.  Row k
-    is built in place in out[2^k:2^(k+1)], then the lower half is added onto
-    it: O(2^n) time, and no memory beyond the table and the side table
-    (36 KiB at 18 variables).  int64 sums wrap exactly, so any order of the
-    adds gives the same bits.
+    a longer row is doubled up from there one higher bit at a time (both by
+    `_subset_sums`).  Row k is built in place in out[2^k:2^(k+1)], then the
+    lower half is added onto it: O(2^n) time, and no memory beyond the table
+    and the side table (36 KiB at 18 variables).  int64 sums wrap exactly,
+    so any order of the adds gives the same bits.
     """
     n = q.shape[0]
     if n > MAX_MASK_VARIABLES:
@@ -131,8 +140,7 @@ def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
     m = min(n, 8)
     low = np.empty((1 << m, n), dtype=np.int64)  # low[x, k] = row_k[x], x < 2^m
     low[0] = np.diagonal(upper)
-    for j in range(m):
-        np.add(low[:1 << j], upper[j], out=low[1 << j:2 << j])
+    _subset_sums(upper[:m], low)
     out = np.empty(1 << n, dtype=np.int64)
     out[0] = offset
     for k in range(n):
@@ -142,8 +150,7 @@ def _quadratic_table(q: np.ndarray, offset: int) -> np.ndarray:
             np.add(out[:half], low[:half, k], out=row)
             continue
         row[:1 << m] = low[:, k]
-        for j in range(m, k):
-            np.add(row[:1 << j], upper[j, k], out=row[1 << j:2 << j])
+        _subset_sums(upper[m:k, k], row.reshape(-1, 1 << m))
         row += out[:half]
     return out
 

@@ -101,3 +101,22 @@ def test_revisions_mark_a_dirty_src_tree(tmp_path):
     assert inside["change"] == head + "+dirty"
     assert inside["change_src_tree"] == tree + "+dirty"
     assert inside["base_src_tree"] == tree
+
+
+def test_a_missing_workdir_is_created(tmp_path, monkeypatch):
+    class Extracted(Exception):
+        pass
+
+    def extract(rev, into):
+        raise Extracted(into)
+
+    tool = _tool()
+    workdir = tmp_path / "not" / "made"
+    monkeypatch.setattr(tool, "revisions", lambda root, base: {})
+    monkeypatch.setattr(tool, "extract", extract)
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--base", "HEAD", "--workload",
+                                     "oracle", "--out", str(tmp_path / "out.json"),
+                                     "--workdir", str(workdir)])
+    with pytest.raises(Extracted) as raised:
+        tool.main()
+    assert raised.value.args[0].parent == workdir

@@ -401,3 +401,102 @@ def test_repeated_solve_keeps_its_heap_pages(tmp_path, capsys):
     assert main(argv) == 0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 64
+
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--synthetic", "unique"], {"command", "synthetic", "solver", "check"}),
+    (["sweep", "convergence", "--out", "o"], {"command", "study", "run", "out_dir"}),
+    (["sweep", "rates", "--out", "o"], {"command", "study", "run", "out_dir"}),
+    (["sweep", "heatmap", "--out", "o"], {"command", "study", "run", "out_dir"}),
+], ids=["verify", "convergence", "rates", "heatmap"])
+def test_a_bare_request_leaves_every_defaulted_option_unnamed(argv, named):
+    # the defaults live in the functions the options feed; the parser sets
+    # only --solver, which no function defaults, and the --check list
+    from qverify.cli import _build_parser
+
+    args = vars(_build_parser().parse_args(argv))
+    assert {name for name, value in args.items() if value is not None} == named
+
+
+def test_named_zeros_are_forwarded(monkeypatch, capsys):
+    import qverify.cli as cli
+
+    assert main(["verify", "--synthetic", "unique", "--oracle-budget", "0",
+                 "--solver", "brute"]) == 2
+    assert capsys.readouterr().err == ("qverify: instance exceeds the oracle budget; "
+                                       "pick a quantum solver\n")
+    solve, calls = cli.solve, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    assert main(["verify", "--synthetic", "unique", "--seed", "0"]) == 1
+    assert main(["verify", "--synthetic", "unique"]) == 1
+    capsys.readouterr()
+    assert [call.get("seed") for call in calls] == [0, None]
+
+
+def _verify_defaults() -> list[str]:
+    """verify's defaulted options, spelled out at the defaults of the
+    functions they feed."""
+    import inspect
+
+    from qverify.optimizers import OptimizerSpec
+    from qverify.pipeline import build_problem, solve
+
+    spec = OptimizerSpec()
+    solve_params = inspect.signature(solve).parameters
+    budget = inspect.signature(build_problem).parameters["oracle_budget"].default
+    return ["--optimizer", spec.kind, "--max-iterations", str(spec.max_iterations),
+            "--shots", str(solve_params["shots"].default),
+            "--seed", str(solve_params["seed"].default), "--oracle-budget", str(budget)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--synthetic", "unique", "--solver", "brute"],
+    ["--synthetic", "or:n=3", "--solver", "qaoa"],
+    ["--synthetic", "or:n=3", "--solver", "grover"],
+    ["--synthetic", "or:n=3", "--solver", "qsvt"],
+], ids=["brute", "qaoa", "grover", "qsvt"])
+def test_omitted_options_answer_as_the_library_defaults(argv, capsys):
+    answers = []
+    for spelled in ([], _verify_defaults()):
+        code = main(["verify", *argv, *spelled])
+        answers.append((code, _without_duration(capsys.readouterr().out)))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 1
+
+
+def test_omitted_unwind_is_the_checker_default(make_fake_checker, checker_env, tmp_path):
+    import inspect
+
+    from qverify.checker import CheckerConfig
+
+    script, log = make_fake_checker("p cnf 2 1\n1 2 0\n")
+    checker_env(script)
+    unwind = inspect.signature(CheckerConfig).parameters["unwind"].default
+    argvs = []
+    for spelled in ([], ["--unwind", str(unwind)]):
+        assert main(["verify", "--source", str(DATA / "overflow.c"), *spelled,
+                     "--out", str(tmp_path / "r.json")]) == 1
+        argvs.append(log.read_text())
+    assert argvs[0] == argvs[1]
+    assert argvs[0].splitlines()[-2:] == ["--unwind", str(unwind)]
+
+
+def test_omitted_heatmap_bounds_are_the_sweeps_defaults(tmp_path, capsys):
+    import inspect
+
+    from qverify.sweep import sweep_heatmap
+
+    params = inspect.signature(sweep_heatmap).parameters
+    spelled = ["--max-degree", str(params["max_half_degree"].default),
+               "--max-inverse-gap", str(params["max_inverse_gap"].default)]
+    for name, extra in (("bare", []), ("spelled", spelled)):
+        assert main(["sweep", "heatmap", "--out", str(tmp_path / name), *extra]) == 0
+        assert capsys.readouterr().out == f"{tmp_path / name / 'heatmap.csv'}\n"
+    assert ((tmp_path / "bare" / "heatmap.csv").read_bytes()
+            == (tmp_path / "spelled" / "heatmap.csv").read_bytes())

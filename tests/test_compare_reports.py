@@ -69,3 +69,23 @@ def test_sweep_csvs_must_match_byte_for_byte(tmp_path):
     (change / "convergence.csv").write_bytes(b"run\n0\n")
     (change / "extra.csv").unlink()
     assert tool.differing_files(base, change) == []
+
+
+def test_a_missing_workdir_is_created(tmp_path, monkeypatch):
+    class Extracted(Exception):
+        pass
+
+    def extract(rev, into):
+        raise Extracted(into)
+
+    # main imports `extract` from the tools directory's bench_pairs module
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import bench_pairs
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    workdir = tmp_path / "not" / "made"
+    monkeypatch.setattr("sys.argv", ["compare_reports.py", "--base", "HEAD",
+                                     "--workload", "sweeps", "--workdir", str(workdir)])
+    with pytest.raises(Extracted) as raised:
+        _tool().main()
+    assert raised.value.args[0].parent == workdir

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qverify import oracle
 from qverify.cnf import Clause, CnfFormula
@@ -16,6 +17,7 @@ from qverify.reduction import (
     Original,
     Qubo,
     _quadratic_table,
+    _subset_sums,
     cnf_to_qubo,
     qubo_to_ising,
 )
@@ -152,6 +154,31 @@ def test_table_build_allocates_only_the_table():
         tracemalloc.stop()
     assert table.nbytes == 8 << n
     assert peak <= (8 << n) + (64 << 10)
+
+
+def _wrapped(value: int) -> int:
+    """A Python int as int64 arithmetic leaves it: modulo 2^64, signed."""
+    return (value + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 6), st.sampled_from([(), (1,), (3,)]), st.booleans())
+def test_subset_sums_are_the_sums_over_set_bits(data, bits, tail, transposed):
+    # 1-D weights as for the elimination's cost rows, 2-D as for the side
+    # table, and a transposed output as for the walk's columns; the weights
+    # span all of int64, so the sums wrap
+    weights = data.draw(arrays(np.int64, (bits, *tail)))
+    shape = (1 << bits, *tail)
+    out = np.empty(shape[::-1], dtype=np.int64).T if transposed else np.empty(shape, np.int64)
+    out[0] = data.draw(arrays(np.int64, tail))
+    _subset_sums(weights, out)
+    width = int(np.prod(tail))
+    rows = weights.reshape(bits, width).tolist()
+    base = out[0].reshape(width).tolist()
+    for x in range(1 << bits):
+        direct = [b + sum(rows[j][c] for j in range(bits) if x >> j & 1)
+                  for c, b in enumerate(base)]
+        assert out[x].reshape(width).tolist() == [_wrapped(v) for v in direct]
 
 
 def _ising_reference(qubo):

@@ -128,6 +128,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summary = revisions(ROOT, args.base) | {

@@ -178,6 +178,8 @@ def main() -> int:
         if workload != "sweeps" and workload not in workloads.BUILDERS:
             parser.error(f"--workload must be one of {sorted(workloads.BUILDERS)} or sweeps")
 
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     status = 0
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
         scratch = Path(scratch)
