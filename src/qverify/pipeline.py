@@ -89,14 +89,11 @@ def solve(problem: Problem, solver: str, *, optimizer=None, layers: int | None =
           degree: int | None = None, shots: int = 2048, seed: int = 0) -> SolverReport:
     if solver == "brute":
         return _solve_brute(problem, seed)
-    if solver == "qaoa":
-        return solve_qaoa(problem.qubo, problem.formula,
-                          layers=3 if layers is None else layers,
-                          optimizer=optimizer, shots=shots, seed=seed, table=problem.table)
-    if solver == "vqe":
-        return solve_vqe(problem.qubo, problem.formula,
-                         layers=2 if layers is None else layers,
-                         optimizer=optimizer, shots=shots, seed=seed, table=problem.table)
+    if solver in ("qaoa", "vqe"):
+        solve_vqa = solve_qaoa if solver == "qaoa" else solve_vqe
+        given = {} if layers is None else {"layers": layers}  # else the solver's default
+        return solve_vqa(problem.qubo, problem.formula, optimizer=optimizer, shots=shots,
+                         seed=seed, table=problem.table, **given)
     if solver == "grover":
         return solve_grover(problem.formula, shots=shots, seed=seed)
     if solver == "qsvt":

@@ -15,6 +15,7 @@ where the batch is returned.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,6 +27,9 @@ from .cnf import CnfFormula, satisfying_mask
 MAX_QUBITS = 24
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-8
+# `_draws_nothing`: the slack on its bound, and the uniforms it reads at a time
+_SCREEN_SLACK = 2.0 ** -40
+_SCREEN_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -88,15 +92,21 @@ class DiagonalHamiltonian:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)  # freeze a copy, not the caller's array
+        table = np.asarray(self.values)
+        vals = np.array(table, dtype=np.float64)  # freeze a copy, not the caller's array
         if vals.shape != (1 << self.num_qubits,):
             raise ValueError("value table length must be 2^num_qubits")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        # an int64 table (every reduced objective) indexes its own levels,
+        # where its float copy would be cast back and compared; the caller's
+        # array is kept only if it is read-only
+        source = table if table.dtype == np.int64 else vals
+        object.__setattr__(self, "_source", source.copy() if source.flags.writeable else source)
 
     @cached_property
     def _levels(self) -> tuple[np.ndarray, int] | None:
-        return level_index(self.values)
+        return level_index(self._source)
 
     def per_level(self, fn) -> np.ndarray:
         """fn(values) for an elementwise fn, evaluated once per distinct value.
@@ -378,7 +388,11 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int,
     the full draw, since numpy's multinomial draws category j as
     binomial(shots left, p_j / mass left) in index order and gives the last
     category what remains without a draw; counts below ``kept`` thus depend
-    only on p_0 .. p_{kept-1} and the generator's state.
+    only on p_0 .. p_{kept-1} and the generator's state.  Where the kept
+    mass m is so small that shots * m <= 1 (and m <= 1/2), `_draws_nothing`
+    first tries to prove that the draw puts no shot below ``kept``; if it
+    does, the empty result is returned without drawing, and otherwise numpy
+    draws as above, raising its own errors on a negative or NaN entry.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -393,11 +407,62 @@ def sample_probabilities(probs: np.ndarray, shots: int, seed: int,
     head = probs[:kept]
     np.divide(head, total, out=head)
     if kept < size:
+        mass = float(head.sum())
         # never drawn, only range-checked by numpy: any value in [0, 1] holds
-        probs[kept] = min(max(1.0 - float(head.sum()), 0.0), 1.0)
+        probs[kept] = min(max(1.0 - mass, 0.0), 1.0)
+        if shots * mass <= 1.0 and mass <= 0.5 and head.min() >= 0.0 \
+                and _draws_nothing(head, mass, shots, seed):
+            return np.empty(0, np.int64), np.empty(0, np.int64)
     counts = np.random.default_rng(seed).multinomial(shots, probs[:kept + 1])[:kept]
     hits = np.nonzero(counts != 0)[0]
     return hits, counts[hits]
+
+
+def _draws_nothing(head: np.ndarray, mass: float, shots: int, seed: int) -> bool:
+    """Whether numpy's multinomial from ``seed`` gives every category of
+    ``head`` the count 0, proven without drawing; False where it is not
+    proven.  ``head`` holds the non-negative p_j, ``mass`` m is their sum,
+    shots * m <= 1 and m <= 1/2.
+
+    As long as every count so far is 0, numpy draws category j as
+    binomial(shots, p'_j), p'_j = p_j / r_j with r_j = 1 - p_0 - ... - p_{j-1}
+    subtracted one entry at a time.  On its inversion path (p'_j <= 1/2 and
+    shots * p'_j <= 30) that draw reads no uniform for p_j = 0, one uniform
+    U_j otherwise, and gives 0 exactly when U_j <= exp(shots * log(1 - p'_j)).
+    `Generator.random` reads the same doubles from the same stream, in
+    chunks or at once.
+
+    The bound, in numpy's own arithmetic: the subtracted r_j is at least
+    (1 - m)(1 - 2^-29) for kept <= 2^24, so p'_j <= (1 + 2^-28) p_j / (1 - m).
+    Rounding 1 - p'_j to a double moves it by at most half an ulp, so numpy
+    takes the log of 1 - p with p <= 2 p'_j, or of 1.  With Bernoulli's
+    (1 - p)^x >= 1 - x p and libm's exp and log within an ulp, numpy's
+    exp(shots * log(1 - p'_j)) is at least 1 - 2.001 shots p_j / (1 - m) - 2^-51.
+    So a U_j at or below 1 - 3 shots p_j / (1 - m) - 2^-40 gives 0, on the
+    inversion path (that bound puts shots * p'_j below 1/2).  Only the
+    uniforms above it are checked exactly, with r_j from np.subtract.reduce
+    (the same sequential subtraction) and math.exp and math.log (the same
+    libm calls numpy's C code makes).
+    """
+    rng = np.random.default_rng(seed)
+    scale = 3.0 * shots / (1.0 - mass)
+    left, done = 1.0, 0  # r_done, once a candidate needs it
+    for start in range(0, head.size, _SCREEN_CHUNK):
+        chunk = head[start:start + _SCREEN_CHUNK]
+        drawn = chunk if chunk.all() else chunk[chunk != 0.0]
+        uniforms = rng.random(drawn.size)
+        near = np.flatnonzero(uniforms > 1.0 - _SCREEN_SLACK - scale * drawn)
+        if not near.size:
+            continue
+        for j, u in zip(start + np.flatnonzero(chunk)[near], uniforms[near]):
+            while done < j:  # r_done to r_j, a chunk at a time
+                stop = min(j, done + _SCREEN_CHUNK)
+                left = float(np.subtract.reduce(np.concatenate(([left], head[done:stop]))))
+                done = stop
+            p = head[j] / left
+            if p > 0.5 or u > math.exp(shots * math.log(1.0 - p)):
+                return False
+    return True
 
 
 def sample_counts(state: Statevector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -123,7 +123,10 @@ def solve_qsvt(qubo: Qubo, formula: CnfFormula, gap: GapInfo, *,
     from `joint_probabilities`, and their sum is checked as its norm would be.
     The shots are drawn over the ancilla-0 half only, the rest as one
     discarded category (`sample_probabilities` with ``kept``): the
-    post-selected counts are bitwise those of the full draw.  The report's
+    post-selected counts are bitwise those of the full draw.  On an UNSAT
+    input almost no mass survives post-selection, and the draw is then
+    mostly settled without drawing: `sample_probabilities` proves that the
+    full draw post-selects no shot, and returns no outcome.  The report's
     ``best_value`` is the least objective among the post-selected outcomes,
     inf when no shot was post-selected.
     """

@@ -120,3 +120,25 @@ def test_a_missing_workdir_is_created(tmp_path, monkeypatch):
     with pytest.raises(Extracted) as raised:
         tool.main()
     assert raised.value.args[0].parent == workdir
+
+
+def test_kinds_summary_takes_the_median_of_the_class_medians():
+    def run(kinds):
+        return {"latency_p50_s": 0.01, "requests": 10, "by_kind_s": kinds}
+
+    base = [{"qsvt/n16": [24, 0.0040], "grover/n14": [1, 0.045]},
+            {"qsvt/n16": [24, 0.0044], "grover/n14": [1, 0.046]},
+            {"qsvt/n16": [24, 0.0036], "grover/n14": [1, 0.044], "vqe/unique": [1, 0.01]}]
+    change = [{"qsvt/n16": [24, 0.0021], "grover/n14": [1, 0.044]},
+              {"qsvt/n16": [24, 0.0024], "grover/n14": [1, 0.047]},
+              {"qsvt/n16": [24, 0.0020], "grover/n14": [1, 0.045]}]
+    pairs = [{"seed": 1 + i, "first": "base", "base": run(b), "change": run(c)}
+             for i, (b, c) in enumerate(zip(base, change))]
+    out = _tool().summarise_kinds(pairs)
+
+    assert list(out) == ["grover/n14", "qsvt/n16"]  # no pair met vqe/unique on both sides
+    assert out["qsvt/n16"] == {"base": 0.0040, "change": 0.0021,
+                               "ratio": pytest.approx(0.525), "wins": 3, "pairs": 3}
+    grover = out["grover/n14"]
+    assert grover["base"] == 0.045 and grover["change"] == 0.045
+    assert grover["ratio"] == 1.0 and grover["wins"] == 1 and grover["pairs"] == 3

@@ -500,3 +500,20 @@ def test_omitted_heatmap_bounds_are_the_sweeps_defaults(tmp_path, capsys):
         assert capsys.readouterr().out == f"{tmp_path / name / 'heatmap.csv'}\n"
     assert ((tmp_path / "bare" / "heatmap.csv").read_bytes()
             == (tmp_path / "spelled" / "heatmap.csv").read_bytes())
+
+
+def test_solve_forwards_layers_only_when_given(monkeypatch):
+    # the circuit solvers' own defaults are the only ones
+    import qverify.pipeline as pipeline
+    from qverify.synthetic import generate_synthetic
+
+    problem = pipeline.build_problem(generate_synthetic("or", {}))
+    calls = []
+    for name in ("solve_qaoa", "solve_vqe"):
+        monkeypatch.setattr(pipeline, name,
+                            lambda *args, name=name, **kwargs: calls.append((name, kwargs)))
+    for solver in ("qaoa", "vqe"):
+        pipeline.solve(problem, solver)
+        pipeline.solve(problem, solver, layers=1)
+    assert [(name, kwargs.get("layers", "default")) for name, kwargs in calls] == [
+        ("solve_qaoa", "default"), ("solve_qaoa", 1), ("solve_vqe", "default"), ("solve_vqe", 1)]

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qverify.simulator as simulator
 import qverify.solvers.qsvt as qsvt
 from qverify.cnf import Clause, CnfFormula
 from qverify.optimizers import OptimizerSpec
@@ -133,6 +134,31 @@ def test_level_index_reads_an_int64_table_in_place_for_both_callers():
         levels, qsvt_index = _levels(table)
         assert qsvt_index is table and np.array_equal(levels, np.arange(top + 1))
     assert indexed >= 5
+
+
+def test_per_level_is_fn_of_the_values_from_every_kind_of_table():
+    # an int64 table indexes its own levels (a writable one through a copy),
+    # and a float table keeps the equality check; per_level stays bitwise
+    # fn(values) either way
+    rng = np.random.default_rng(20)
+    gammas = np.array([0.3, -1.7, 2.5])
+    fns = [lambda v: np.exp(-1j * 0.7 * v), lambda v: np.exp(-1j * gammas[:, None] * v),
+           lambda v: np.cos(v / 3.0)]
+    for n in (1, 4, 10):
+        table = rng.integers(0, 1 << n, size=1 << n)
+        frozen = table.copy()
+        frozen.setflags(write=False)
+        for values, indexed in ((table, True), (frozen, True),
+                                (table.astype(np.float64), True), (table + 0.5, False)):
+            ham = DiagonalHamiltonian(n, values)
+            for fn in fns:
+                assert ham.per_level(fn).tobytes() == fn(ham.values).tobytes()
+            assert (ham._levels is not None) == indexed
+        assert DiagonalHamiltonian(n, frozen)._levels[0] is frozen
+        ham = DiagonalHamiltonian(n, table)
+        want = ham.per_level(fns[0])
+        table += 1  # the caller's writable table may change; the Hamiltonian may not
+        assert ham.per_level(fns[0]).tobytes() == want.tobytes()
 
 
 def test_problem_table_is_the_energy_table_and_read_only():
@@ -441,3 +467,107 @@ def test_qsvt_on_16_unsat_variables_peaks_under_1_8_mb():
         tracemalloc.stop()
     assert isinstance(report.verdict, NoSolutionFound)
     assert peak < 1.8 * (1 << 20)
+
+
+def _near_empty_probs(size, kept, mass, zeros, seed):
+    """A normalised vector of ``size`` entries whose first ``kept`` hold
+    ``mass``, with a share ``zeros`` of all entries exactly 0."""
+    rng = np.random.default_rng([seed, 1])  # not the stream the draw reads
+    probs = rng.random(size)
+    probs[rng.random(size) < zeros] = 0.0
+    head, tail = probs[:kept], probs[kept:]
+    if head.any():
+        head *= mass / head.sum()
+    tail[-1] += 1.0
+    tail *= max(1.0 - head.sum(), 0.0) / tail.sum()
+    return probs
+
+
+class _CountingRng:
+    """A numpy Generator that counts its multinomial draws."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def multinomial(self, *args):
+        self._draws.append(args[0])
+        return self._rng.multinomial(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _count_draws(monkeypatch) -> list:
+    """The shots of every multinomial draw `simulator` makes from now on."""
+    draws, make = [], simulator.np.random.default_rng
+    monkeypatch.setattr(simulator.np.random, "default_rng",
+                        lambda seed: _CountingRng(make(seed), draws))
+    return draws
+
+
+# (size, cut, shots, share, zeros, seed) of `test_a_near_empty_kept_draw_is_the_full_draws`
+_EXACT_NOT_HIT = (1000, 700, 2048, 1.0, 0.5, 2)
+_KEPT_HIT = (1000, 700, 2048, 1.0, 0.5, 0)
+_ALL_MASS_ONE_SHOT = (64, 9, 1, 1.0, 0.0, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 64, 1000, (1 << 13) + 7, (1 << 14) + 1]), st.integers(0, 2**32),
+       st.sampled_from([1, 7, 64, 2048, 100_000]),
+       st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.5, 0.95]), st.integers(0, 2**63 - 1))
+@example(*_EXACT_NOT_HIT)
+@example(*_KEPT_HIT)
+@example(*_ALL_MASS_ONE_SHOT)
+def test_a_near_empty_kept_draw_is_the_full_draws(size, cut, shots, share, zeros, seed):
+    # kept masses from 0 to 1/shots: the screen settles most of these draws
+    # without numpy, and its counts must be numpy's all the same
+    kept = 1 + cut % (size - 1)
+    probs = _near_empty_probs(size, kept, share / shots, zeros, seed)
+    full_outcomes, full_counts = sample_probabilities(probs.copy(), shots, seed)
+    outcomes, counts = sample_probabilities(probs.copy(), shots, seed, kept=kept)
+    below = np.searchsorted(full_outcomes, kept)
+    assert outcomes.dtype == counts.dtype == np.int64
+    assert np.array_equal(outcomes, full_outcomes[:below])
+    assert np.array_equal(counts, full_counts[:below])
+
+
+@pytest.mark.parametrize("case, exact_checks, draws", [
+    (_EXACT_NOT_HIT, True, False),
+    (_KEPT_HIT, True, True),
+    (_ALL_MASS_ONE_SHOT, False, True),
+], ids=["exact-not-a-hit", "kept-hit", "all-mass-one-shot"])
+def test_the_pinned_draws_take_the_screens_three_branches(case, exact_checks, draws,
+                                                          monkeypatch):
+    size, cut, shots, share, zeros, seed = case
+    kept = 1 + cut % (size - 1)
+    probs = _near_empty_probs(size, kept, share / shots, zeros, seed)
+    checked = []
+
+    def exp(x):
+        checked.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(simulator, "math", type("Math", (), {"exp": exp, "log": math.log}))
+    made = _count_draws(monkeypatch)
+    outcomes, _ = sample_probabilities(probs, shots, seed, kept=kept)
+    assert bool(checked) == exact_checks
+    assert made == ([shots] if draws else [])
+    assert bool(outcomes.size) == draws  # a kept hit is a shot below kept
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-13], ids=["nan", "negative"])
+def test_a_bad_kept_entry_still_raises_numpys_error(bad):
+    probs = np.array([bad, 0.5, 0.5 - (0.0 if np.isnan(bad) else bad)])
+    with pytest.raises(ValueError, match="pvals"):
+        sample_probabilities(probs, 1, 0, kept=1)
+
+
+def test_a_16_variable_unsat_qsvt_solve_draws_no_multinomial(monkeypatch):
+    # at seed 0 no shot is post-selected (at seed 1 one is, and numpy draws)
+    problem = _sixteen_variable_unsat_problem()
+    want = solve(problem, "qsvt", seed=0)
+    made = _count_draws(monkeypatch)
+    assert solve(problem, "qsvt", seed=0) == want
+    assert made == []
+    assert want.rate_sampled == 0.0

@@ -20,7 +20,10 @@ stays within the metric's bound (`within_bound`), and whether it beats the
 base by more than that bound (`beyond_bound`).  Each run's values are kept as
 well, with the request count and the per-class seconds (`requests`,
 `by_kind_s`) of run.py's detail line, which show which request class moved
-and how many requests a run's peak RSS covers.
+and how many requests a run's peak RSS covers.  Per request class, the
+workload's `by_kind_s` summary holds each side's median of the runs' class
+medians, the change's over the base's, and the number of pairs the change
+won (a lower class median).
 """
 from __future__ import annotations
 
@@ -114,6 +117,27 @@ def summarise(declared: list[dict], pairs: list[dict]) -> dict:
     return out
 
 
+def summarise_kinds(pairs: list[dict]) -> dict:
+    """Per request class (run.py's `by_kind_s`, [count, median seconds] per
+    run): both sides' medians of the class medians, their ratio and the
+    pairs the change won, over the pairs where both runs met the class."""
+    out = {}
+    kinds = {kind for pair in pairs for side in ("base", "change")
+             for kind in pair[side]["by_kind_s"]}
+    for kind in sorted(kinds):
+        met = [(pair["base"]["by_kind_s"][kind][1], pair["change"]["by_kind_s"][kind][1])
+               for pair in pairs
+               if kind in pair["base"]["by_kind_s"] and kind in pair["change"]["by_kind_s"]]
+        if not met:
+            continue
+        base = statistics.median(b for b, _ in met)
+        change = statistics.median(c for _, c in met)
+        out[kind] = {"base": base, "change": change,
+                     "ratio": change / base if base else None,
+                     "wins": sum(c < b for b, c in met), "pairs": len(met)}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -148,6 +172,7 @@ def main() -> int:
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
             summary["workloads"][workload] = {"metrics": summarise(declared, pairs),
+                                              "by_kind_s": summarise_kinds(pairs),
                                               "pairs": pairs}
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
