@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import re
 import shutil
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +101,8 @@ def run_model_checker(config: CheckerConfig) -> CnfFormula:
         )
     if not config.source.exists():
         raise CheckerError(f"source file {config.source} does not exist")
+    import subprocess  # only the checker frontend starts a process
+
     proc = subprocess.run(
         config.argv(executable), capture_output=True, text=True, check=False,
     )

@@ -7,7 +7,7 @@ the number 42 prints as ``101010``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,35 +71,64 @@ class Clause:
         return any(lit.holds(assignment) for lit in self.literals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CnfFormula:
-    """A CNF formula; an empty clause list is trivially satisfiable."""
+    """A CNF formula; an empty clause list is trivially satisfiable.
+
+    The clauses are held as ``codes``, one tuple of DIMACS signed-int
+    literals per clause; `clauses` builds their `Clause`/`Literal` views on
+    first read.  Equality compares the variable count, the codes and the
+    provenance.
+    """
 
     num_variables: int
-    clauses: tuple[Clause, ...]
+    codes: tuple[tuple[int, ...], ...]
     provenance: str = "dimacs-file"
 
-    def __post_init__(self):
-        if self.num_variables < 0:
-            raise CnfError("negative variable count")
-        for cl in self.clauses:
-            for lit in cl.literals:
-                if lit.variable > self.num_variables:
-                    raise CnfError(
-                        f"variable {lit.variable} exceeds declared count {self.num_variables}"
-                    )
+    def __init__(self, num_variables: int, clauses, provenance: str = "dimacs-file"):
+        clauses = tuple(clauses)
+        codes = tuple(tuple(lit.to_int() for lit in cl.literals) for cl in clauses)
+        _check_range(num_variables, codes)
+        self._set(num_variables, codes, provenance)
+        self.__dict__["clauses"] = clauses
+
+    def _set(self, num_variables: int, codes, provenance: str) -> None:
+        object.__setattr__(self, "num_variables", num_variables)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "provenance", provenance)
+
+    @classmethod
+    def _trusted(cls, num_variables: int, codes, provenance: str) -> "CnfFormula":
+        """From codes already checked as `from_codes` checks them."""
+        formula = object.__new__(cls)
+        formula._set(num_variables, codes, provenance)
+        return formula
+
+    @classmethod
+    def from_codes(cls, num_variables: int, codes, provenance: str = "dimacs-file") -> "CnfFormula":
+        """From clause codes, each rejected as `Clause.of` would reject it."""
+        codes = tuple(map(tuple, codes))
+        for clause in codes:
+            if not clause or 0 in clause or len({abs(c) for c in clause}) < len(clause):
+                Clause.of(*clause)  # raises the clause's own error
+        _check_range(num_variables, codes)
+        return cls._trusted(num_variables, codes, provenance)
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        return tuple(Clause.of(*clause) for clause in self.codes)
 
     @cached_property
     def _clause_masks(self) -> tuple[tuple[int, int], ...]:
         """(positive, negated) variable bitmasks per clause, in assignment bit order."""
         masks = []
-        for cl in self.clauses:
+        for clause in self.codes:
             pos = neg = 0
-            for lit in cl.literals:
-                if lit.negated:
-                    neg |= 1 << (lit.variable - 1)
+            for c in clause:
+                if c > 0:
+                    pos |= 1 << (c - 1)
                 else:
-                    pos |= 1 << (lit.variable - 1)
+                    neg |= 1 << (-c - 1)
             masks.append((pos, neg))
         return tuple(masks)
 
@@ -132,6 +161,34 @@ class CnfFormula:
         return sum(not cl.is_satisfied_by(assignment) for cl in self.clauses)
 
 
+def _check_range(num_variables: int, codes) -> None:
+    if num_variables < 0:
+        raise CnfError("negative variable count")
+    for clause in codes:
+        for c in clause:
+            if abs(c) > num_variables:
+                raise CnfError(f"variable {abs(c)} exceeds declared count {num_variables}")
+
+
+def _read_clauses(row: list[int], current: list[int], clauses: list, num_vars: int) -> str | None:
+    """Add the literals of ``row`` to the open clause ``current``, closing it
+    into ``clauses`` at each 0; the first clause-data error, or None."""
+    for code in row:
+        if code:
+            if abs(code) > num_vars:
+                return f"literal {code} out of declared range 1..{num_vars}"
+            current.append(code)
+            continue
+        if not current:
+            return "empty clause in DIMACS input"
+        unique = dict.fromkeys(current)  # first occurrence kept
+        if any(-c in unique for c in unique):
+            return f"tautological clause {current} rejected"
+        clauses.append(tuple(unique))
+        current.clear()
+    return None
+
+
 def parse_dimacs(text: str, provenance: str = "dimacs-file") -> CnfFormula:
     """Parse DIMACS CNF text.
 
@@ -141,18 +198,28 @@ def parse_dimacs(text: str, provenance: str = "dimacs-file") -> CnfFormula:
     header.  A "%" line is a comment, except once every declared clause is
     complete: there it ends the clause data, as in the SATLIB files, which
     close with a "%" line and a lone "0".
+
+    One pass over the lines builds the clause codes.  An error in a line
+    itself (header, order, tokens) is raised at once; the first error in the
+    clause data is raised only once every line has passed those checks.
     """
     header: tuple[int, int] | None = None
-    tokens: list[int] = []
-    closed = 0
+    num_vars = 0
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
+    closed = 0          # clause terminators read
+    ended = True        # no token read yet, or the last one was a 0
+    error = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line.startswith("%") and header is not None and closed >= header[1] \
-                and (not tokens or tokens[-1] == 0):
-            break
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line:
             continue
-        if line.startswith("p"):
+        first = line[0]
+        if first == "%" and header is not None and closed >= header[1] and ended:
+            break
+        if first == "c" or first == "%":
+            continue
+        if first == "p":
             if header is not None:
                 raise CnfError(f"line {lineno}: duplicate header")
             parts = line.split()
@@ -162,48 +229,43 @@ def parse_dimacs(text: str, provenance: str = "dimacs-file") -> CnfFormula:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise CnfError(f"line {lineno}: malformed header {line!r}") from None
+            num_vars = header[0]
             continue
         if header is None:
             raise CnfError(f"line {lineno}: clause before 'p cnf' header")
         try:
-            row = [int(tok) for tok in line.split()]
+            row = list(map(int, line.split()))
         except ValueError:
             raise CnfError(f"line {lineno}: non-integer token in {line!r}") from None
-        tokens.extend(row)
-        closed += row.count(0)
+        zeros = row.count(0)
+        closed += zeros
+        ended = row[-1] == 0
+        if error is not None:
+            continue
+        if zeros == 1 and ended and not current and len(row) > 1 \
+                and len(variables := set(map(abs, row))) == len(row) \
+                and max(variables) <= num_vars:
+            # the common line: one whole clause of distinct in-range variables
+            clauses.append(tuple(row[:-1]))
+            continue
+        error = _read_clauses(row, current, clauses, num_vars)
     if header is None:
         raise CnfError("missing 'p cnf' header")
-
-    num_vars, num_clauses = header
-    clauses: list[Clause] = []
-    current: list[int] = []
-    for code in tokens:
-        if code == 0:
-            if not current:
-                raise CnfError("empty clause in DIMACS input")
-            deduped: list[int] = []
-            for c in current:
-                if -c in current:
-                    raise CnfError(f"tautological clause {current} rejected")
-                if c not in deduped:
-                    deduped.append(c)
-            clauses.append(Clause.of(*deduped))
-            current = []
-        else:
-            if abs(code) > num_vars:
-                raise CnfError(f"literal {code} out of declared range 1..{num_vars}")
-            current.append(code)
+    if error is not None:
+        raise CnfError(error)
     if current:
         raise CnfError("unterminated clause (missing trailing 0)")
-    if len(clauses) != num_clauses:
-        raise CnfError(f"header declares {num_clauses} clauses, found {len(clauses)}")
-    return CnfFormula(num_vars, tuple(clauses), provenance=provenance)
+    if len(clauses) != header[1]:
+        raise CnfError(f"header declares {header[1]} clauses, found {len(clauses)}")
+    if num_vars < 0:
+        raise CnfError("negative variable count")
+    return CnfFormula._trusted(num_vars, tuple(clauses), provenance)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
-    lines = [f"p cnf {formula.num_variables} {len(formula.clauses)}"]
-    for cl in formula.clauses:
-        lines.append(" ".join(str(lit.to_int()) for lit in cl.literals) + " 0")
+    lines = [f"p cnf {formula.num_variables} {len(formula.codes)}"]
+    for clause in formula.codes:
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -229,16 +291,16 @@ def satisfying_mask(formula: CnfFormula, chunk: int = 1 << 20) -> np.ndarray:
     # axis 0 is the chunk; axis 1 + i is bit k - 1 - i of the assignment
     cube = out.reshape((-1,) + (2,) * k)
     cuts = []
-    for cl in formula.clauses:
+    for clause in formula.codes:
         high = falsified = 0
         index = [slice(None)] * k
-        for lit in cl.literals:
-            bit = lit.variable - 1
+        for c in clause:
+            bit = abs(c) - 1
             if bit >= k:
                 high |= 1 << (bit - k)
-                falsified |= lit.negated << (bit - k)
+                falsified |= (c < 0) << (bit - k)
             else:
-                index[k - 1 - bit] = int(lit.negated)
+                index[k - 1 - bit] = int(c < 0)
         cuts.append((high, falsified, tuple(index)))
     for h in range(cube.shape[0]):
         for high, falsified, index in cuts:

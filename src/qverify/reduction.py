@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import index
 
 import numpy as np
 
-from .cnf import MAX_MASK_VARIABLES, Clause, CnfFormula, Literal
-
-# polynomial terms: {} -> constant, {i} -> linear, {i, j} -> quadratic
-QuadPoly = dict[tuple[int, ...], int]
+from .cnf import MAX_MASK_VARIABLES, CnfFormula
 
 
 @dataclass(frozen=True)
@@ -36,78 +34,6 @@ class Auxiliary:
 
     clause_index: int
     step: int
-
-
-def _affine(negated: bool) -> tuple[int, int]:
-    # literal value as const + sign * x
-    return (1, -1) if negated else (0, 1)
-
-
-def _add_term(poly: QuadPoly, key: tuple[int, ...], coeff: int) -> None:
-    if coeff:
-        key = tuple(sorted(key))
-        poly[key] = poly.get(key, 0) + coeff
-        if poly[key] == 0:
-            del poly[key]
-
-
-def _penalty_terms(poly: QuadPoly, lits: list[tuple[int, bool]]) -> None:
-    if len(lits) == 1:
-        (i, neg), = lits
-        ca, sa = _affine(neg)
-        _add_term(poly, (), 1 - ca)
-        _add_term(poly, (i,), -sa)
-        return
-    (i, na), (j, nb) = lits
-    ca, sa = _affine(na)
-    cb, sb = _affine(nb)
-    _add_term(poly, (), 1 - ca - cb + ca * cb)
-    _add_term(poly, (i,), -sa + sa * cb)
-    _add_term(poly, (j,), -sb + ca * sb)
-    _add_term(poly, (i, j), sa * sb)
-
-
-def _gadget_terms(poly: QuadPoly, a: tuple[int, bool], b: tuple[int, bool], r: int) -> None:
-    (i, na), (j, nb) = a, b
-    ca, sa = _affine(na)
-    cb, sb = _affine(nb)
-    _add_term(poly, (r,), 1 - 2 * ca - 2 * cb)
-    _add_term(poly, (i, r), -2 * sa)
-    _add_term(poly, (j, r), -2 * sb)
-    _add_term(poly, (), ca + cb + ca * cb)
-    _add_term(poly, (i,), sa + sa * cb)
-    _add_term(poly, (j,), sb + ca * sb)
-    _add_term(poly, (i, j), sa * sb)
-
-
-def clause_penalty(clause: Clause) -> QuadPoly:
-    """Penalty polynomial of a width-<=2 clause over 0-based QUBO indices."""
-    if clause.width > 2:
-        raise ValueError("clause_penalty handles widths 1 and 2; reduce wider clauses first")
-    poly: QuadPoly = {}
-    _penalty_terms(poly, [(lit.variable - 1, lit.negated) for lit in clause.literals])
-    return poly
-
-
-def reduction_gadget(a: tuple[int, bool], b: tuple[int, bool], r: int) -> QuadPoly:
-    """Gadget tying fresh index ``r`` to the OR of literals ``a`` and ``b``.
-
-    Literals are (0-based index, negated) pairs; the polynomial is 0 exactly
-    when r = a OR b and >= 1 (max 3) otherwise.
-    """
-    poly: QuadPoly = {}
-    _gadget_terms(poly, a, b, r)
-    return poly
-
-
-def eval_poly(poly: QuadPoly, assignment: int) -> int:
-    total = 0
-    for key, coeff in poly.items():
-        term = coeff
-        for idx in key:
-            term *= (assignment >> idx) & 1
-        total += term
-    return total
 
 
 def _subset_sums(weights, out: np.ndarray) -> None:
@@ -188,11 +114,16 @@ class Qubo:
 
     def dense(self) -> np.ndarray:
         """Upper-triangular int64 matrix of the coefficients; a key (j, i)
-        with j > i lands on (i, j), which leaves x^T Q x unchanged."""
-        q = np.zeros((self.num_vars, self.num_vars), dtype=np.int64)
+        with j > i lands on (i, j), which leaves x^T Q x unchanged.  The
+        entries are summed in Python by flat index and put in one call."""
+        n = self.num_vars
+        flat: dict[int, int] = {}
         for (i, j), coeff in self.coeffs.items():
-            q[min(i, j), max(i, j)] += coeff
-        return q
+            key = i * n + j if i <= j else j * n + i
+            flat[key] = flat.get(key, 0) + coeff
+        q = np.zeros(n * n, dtype=np.int64)
+        q.put(list(flat), list(flat.values()))
+        return q.reshape(n, n)
 
     def objective_table(self) -> np.ndarray:
         """Objective for all 2^n assignments (int64), assignment index order."""
@@ -234,38 +165,78 @@ class Qubo:
         )
 
 
+@lru_cache(maxsize=32)
+def _originals(n: int) -> tuple[Original, ...]:
+    """The first n entries of every variable map of n CNF variables, shared:
+    a frozen dataclass takes about 0.6 us to build."""
+    return tuple(Original(v) for v in range(1, n + 1))
+
+
 def cnf_to_qubo(formula: CnfFormula) -> Qubo:
     """Reduce, fold-left per clause: r1 = L1 v L2, r2 = r1 v L3, ...
 
     Auxiliary count is sum over clauses of max(0, width - 2); original
     variables occupy QUBO indices 0..n-1 in CNF order.
-    """
-    poly: QuadPoly = {}
-    variable_map: list = [Original(v) for v in range(1, formula.num_variables + 1)]
-    gadgets = 0
-    for ci, clause in enumerate(formula.clauses):
-        lits = [(lit.variable - 1, lit.negated) for lit in clause.literals]
-        step = 0
-        while len(lits) > 2:
-            r = len(variable_map)
-            variable_map.append(Auxiliary(ci, step))
-            _gadget_terms(poly, lits[0], lits[1], r)
-            lits = [(r, False)] + lits[2:]
-            step += 1
-            gadgets += 1
-        _penalty_terms(poly, lits)
 
-    offset = poly.pop((), 0)
-    # a clause never repeats a variable, so every quadratic key has i < j and
-    # the diagonal (i, i) holds the linear term alone
-    coeffs = {(key[0], key[-1]): coeff for key, coeff in poly.items()}
+    One pass over the clause codes sums the terms as integers: the linear
+    ones in a list, the quadratic ones in a dict keyed by i * size + j.  A
+    literal on index i reads c + s * x_i, with (c, s) = (0, 1), or (1, -1)
+    where negated.  A clause never repeats a variable and every auxiliary
+    is fresh, so a quadratic term has i != j.
+    """
+    n = formula.num_variables
+    codes = formula.codes
+    size = n + sum(len(clause) - 2 for clause in codes if len(clause) > 2)
+    variable_map = list(_originals(n))
+    linear = [0] * size
+    pairs: dict[int, int] = {}
+    get = pairs.get
+    offset = 0
+    for ci, clause in enumerate(codes):
+        i = abs(clause[0]) - 1
+        ca, sa = (1, -1) if clause[0] < 0 else (0, 1)
+        if len(clause) == 1:
+            # penalty 1 - a
+            linear[i] -= sa
+            offset += 1 - ca
+            continue
+        if len(clause) > 2:
+            for step, code in enumerate(clause[1:-1]):
+                # gadget (1 - 2a - 2b) r + a + b + ab, 0 exactly when r = a OR b;
+                # r is fresh, so its terms are new
+                j = abs(code) - 1
+                cb, sb = (1, -1) if code < 0 else (0, 1)
+                r = len(variable_map)
+                variable_map.append(Auxiliary(ci, step))
+                linear[r] = 1 - 2 * ca - 2 * cb
+                linear[i] += sa * (1 + cb)
+                linear[j] += sb * (1 + ca)
+                pairs[i * size + r] = -2 * sa
+                pairs[j * size + r] = -2 * sb
+                key = i * size + j if i < j else j * size + i
+                pairs[key] = get(key, 0) + sa * sb
+                offset += ca + cb + ca * cb
+                i, ca, sa = r, 0, 1
+        # penalty (1 - a)(1 - b)
+        j = abs(clause[-1]) - 1
+        cb, sb = (1, -1) if clause[-1] < 0 else (0, 1)
+        linear[i] -= sa * (1 - cb)
+        linear[j] -= sb * (1 - ca)
+        key = i * size + j if i < j else j * size + i
+        pairs[key] = get(key, 0) + sa * sb
+        offset += (1 - ca) * (1 - cb)
+
+    coeffs = {(i, i): coeff for i, coeff in enumerate(linear) if coeff}
+    for key, coeff in pairs.items():
+        if coeff:
+            coeffs[divmod(key, size)] = coeff
     return Qubo(
-        num_vars=len(variable_map),
+        num_vars=size,
         coeffs=coeffs,
         offset=offset,
         variable_map=tuple(variable_map),
-        clause_terms=len(formula.clauses),
-        gadget_terms=gadgets,
+        clause_terms=len(codes),
+        gadget_terms=size - n,
     )
 
 
@@ -278,16 +249,20 @@ def extend_assignment(formula: CnfFormula, assignment: int) -> int:
     """
     full = assignment
     nxt = formula.num_variables
-    for clause in formula.clauses:
-        if clause.width <= 2:
+    for clause in formula.codes:
+        if len(clause) <= 2:
             continue
-        acc = clause.literals[0].holds(assignment)
-        for lit in clause.literals[1:-1]:
-            acc = acc or lit.holds(assignment)
+        acc = _holds(clause[0], assignment)
+        for code in clause[1:-1]:
+            acc = acc or _holds(code, assignment)
             if acc:
                 full |= 1 << nxt
             nxt += 1
     return full
+
+
+def _holds(code: int, assignment: int) -> bool:
+    return (assignment >> (abs(code) - 1) & 1) == (code > 0)
 
 
 @dataclass(frozen=True)

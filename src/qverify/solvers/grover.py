@@ -39,7 +39,7 @@ def solve_grover(formula: CnfFormula, *, shots: int = 1024, seed: int = 0) -> So
     if n > GROVER_MAX_QUBITS:
         raise ValueError(f"{n} variables exceeds the Grover cap {GROVER_MAX_QUBITS}")
     config = {"shots_per_point": shots}
-    if not formula.clauses:
+    if not formula.codes:
         return SolverReport(
             solver="grover", verdict=Sat(0), best_value=0.0, shots_used=0,
             config=config, seed=seed,

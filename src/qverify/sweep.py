@@ -7,7 +7,6 @@ results are re-sorted before writing, so --jobs changes wall time only.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .optimizers import KINDS, OptimizerSpec
@@ -86,6 +85,10 @@ def _convergence_cell(cell) -> tuple[int, list[str]]:
 
 def _run_grid(cells, worker, jobs: int) -> list[str]:
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, which no
+        # one-process run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, cells))
     else:

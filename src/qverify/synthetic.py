@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .cnf import Clause, CnfError, CnfFormula, Literal
+from .cnf import CnfError, CnfFormula
 
 
 class _Builder:
@@ -178,8 +178,7 @@ class _Builder:
         self.assert_true(gt)
 
     def finish(self, name: str) -> CnfFormula:
-        clauses = tuple(Clause.of(*codes) for codes in self.clauses)
-        return CnfFormula(self.num_vars, clauses, provenance=f"synthetic:{name}")
+        return CnfFormula.from_codes(self.num_vars, self.clauses, provenance=f"synthetic:{name}")
 
 
 def _symbol_bits(first_var: int, width: int) -> list[int]:

@@ -142,3 +142,42 @@ def test_kinds_summary_takes_the_median_of_the_class_medians():
     grover = out["grover/n14"]
     assert grover["base"] == 0.045 and grover["change"] == 0.045
     assert grover["ratio"] == 1.0 and grover["wins"] == 1 and grover["pairs"] == 3
+
+
+def test_both_trees_are_compiled_before_the_first_run(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    for part in ("src/pkg", "perfbench"):
+        (repo / part).mkdir(parents=True)
+    (repo / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "perfbench" / "run.py").write_text("y = 2\n")
+    (repo / "BENCHMARK.json").write_text('{"end_to_end": []}\n')
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+
+    class FirstRun(Exception):
+        pass
+
+    def cached(tree):
+        return all(list((tree / part / "__pycache__").glob("*.pyc"))
+                   for part in ("src/pkg", "perfbench"))
+
+    seen = []
+
+    def run(tree, workload, seed, seconds):
+        # the base's extracted tree is gone once main returns
+        seen.append((tree, cached(tree), cached(repo)))
+        raise FirstRun
+
+    tool = _tool()
+    monkeypatch.setattr(tool, "ROOT", repo)
+    monkeypatch.setattr(tool, "_run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--base", "HEAD", "--workload",
+                                     "oracle", "--out", str(tmp_path / "out.json"),
+                                     "--workdir", str(tmp_path / "work")])
+    with pytest.raises(FirstRun):
+        tool.main()
+    (tree, tree_cached, repo_cached), = seen
+    assert tree != repo  # pair 0 runs the base first
+    assert tree_cached and repo_cached

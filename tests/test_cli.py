@@ -1,10 +1,14 @@
 import json
+import os
 import platform
 import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qverify
 from qverify.cli import main
 from qverify.pipeline import SOLVERS
 
@@ -517,3 +521,13 @@ def test_solve_forwards_layers_only_when_given(monkeypatch):
         pipeline.solve(problem, solver, layers=1)
     assert [(name, kwargs.get("layers", "default")) for name, kwargs in calls] == [
         ("solve_qaoa", "default"), ("solve_qaoa", 1), ("solve_vqe", "default"), ("solve_vqe", 1)]
+
+
+def test_importing_the_cli_leaves_out_the_pool_and_subprocess():
+    # the sweep pool and the checker's process are imported where they run
+    probe = ("import sys, qverify.cli; print(sorted(m for m in ('concurrent.futures', "
+             "'multiprocessing', 'subprocess') if m in sys.modules))")
+    src = str(Path(qverify.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"

@@ -12,16 +12,14 @@ from qverify.reduction import (
     GapInfo,
     Original,
     Qubo,
-    clause_penalty,
     cnf_to_qubo,
     compute_gap,
-    eval_poly,
     extend_assignment,
     qubo_to_ising,
-    reduction_gadget,
 )
 
 from conftest import random_formula
+from reference import clause_penalty, eval_poly, reduction_gadget
 
 
 def test_penalty_width_one():

@@ -6,6 +6,11 @@
 Run from the root of a checkout.  The base revision is extracted with
 `git archive` into a scratch directory (--workdir, default a temporary one),
 so `.git` is left as it was; the change is this checkout's working tree.
+Before the first pair, `python -m compileall -q src perfbench` writes the
+bytecode caches of both trees (`"compiled": true` in the output): where
+PYTHONDONTWRITEBYTECODE is set, a fresh `git archive` tree would otherwise
+recompile qverify in every process, and `setup_s` would count that against
+the base alone.
 Pair i runs `python3 perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0` once in each tree, one after the other, the base first on even
 pairs and the change first on odd ones, so that drift of the host over the
@@ -71,6 +76,12 @@ def extract(rev: str, into: Path) -> Path:
         tar.extractall(into / "base", filter="data")
     archive.unlink()
     return into / "base"
+
+
+def compile_tree(tree: Path) -> None:
+    """Write the bytecode caches of ``tree``'s sources and benchmark."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=tree, check=True)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -157,10 +168,12 @@ def main() -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summary = revisions(ROOT, args.base) | {
-        "seconds": args.seconds, "nproc": os.cpu_count(), "workloads": {},
+        "seconds": args.seconds, "nproc": os.cpu_count(), "compiled": True, "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
         base_tree = extract(args.base, Path(scratch))
+        for tree in (base_tree, ROOT):
+            compile_tree(tree)
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
