@@ -157,9 +157,6 @@ class CnfFormula:
             survivors = survivors[((survivors & pos) != 0) | ((~survivors & neg) != 0)]
         return int(survivors[0]) if survivors.size else None
 
-    def unsatisfied_count(self, assignment: int) -> int:
-        return sum(not cl.is_satisfied_by(assignment) for cl in self.clauses)
-
 
 def _check_range(num_variables: int, codes) -> None:
     if num_variables < 0:

@@ -2,9 +2,7 @@
 
 Everything here is exact over the full assignment space, so callers must
 stay inside an explicit variable budget; exceeding it raises instead of
-silently truncating.  The satisfiability route evaluates clauses directly and
-never goes through the reduction, which is what makes it usable as a
-cross-check on the QUBO side.
+silently truncating.
 
 The QUBO's spectrum takes one of three routes: up to ONE_BLOCK_VARIABLES the
 objective table, counted whole; from ELIMINATION_VARIABLES, bucket
@@ -19,7 +17,6 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .cnf import CnfFormula, satisfying_mask
 from .reduction import Original, Qubo, _quadratic_table, _subset_sums
 
 DEFAULT_BUDGET = 24
@@ -34,14 +31,6 @@ def _check_budget(num_vars: int, budget: int, what: str) -> None:
         raise BudgetExceededError(
             f"{what} needs 2^{num_vars} assignments; budget allows 2^{budget}"
         )
-
-
-def enumerate_sat(formula: CnfFormula) -> list[int]:
-    """All satisfying assignments of the formula, ascending, within the
-    DEFAULT_BUDGET of variables."""
-    _check_budget(formula.num_variables, DEFAULT_BUDGET, "satisfiability enumeration")
-    mask = satisfying_mask(formula)
-    return [int(a) for a in np.nonzero(mask)[0]]
 
 
 @dataclass(frozen=True)
@@ -175,11 +164,12 @@ def _stream(qubo: Qubo):
 
 # From ELIMINATION_VARIABLES on (and above ONE_BLOCK_VARIABLES), the
 # spectrum is counted by bucket elimination wherever every bucket fits in a
-# walk block.  Below 20 variables, elimination's Python overhead costs more
-# than the walk.  At 20 it is already faster (about 1 ms against 2.5 ms), but
-# 20-variable QUBOs stay on the walk while the benchmark worker keeps every
-# request's row: routing its 20-variable oracle class here raises the
-# oracle throughput by a third, and with it peak_rss_mb past its 10% bound.
+# walk block.  Below 20 variables, elimination's Python overhead costs about
+# as much as the walk or more.  At 20 it is already faster (2.06-2.99 ms
+# against 3.55-3.59 ms for the walk on a Xeon core), but 20-variable QUBOs
+# stay on the walk while the benchmark worker keeps every request's row:
+# routing its 20-variable oracle class here raises the oracle throughput by a
+# third, and with it peak_rss_mb past its 10% bound.
 ELIMINATION_VARIABLES = 21
 
 

@@ -146,24 +146,6 @@ class Qubo:
             "gadget_terms": self.gadget_terms,
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "Qubo":
-        coeffs = {(int(i), int(j)): int(c) for i, j, c in data["entries"]}
-        var_map = []
-        for v in data["variable_map"]:
-            if v["kind"] == "original":
-                var_map.append(Original(v["variable"]))
-            else:
-                var_map.append(Auxiliary(v["clause"], v["step"]))
-        return Qubo(
-            num_vars=int(data["num_vars"]),
-            coeffs=coeffs,
-            offset=int(data["offset"]),
-            variable_map=tuple(var_map),
-            clause_terms=int(data["clause_terms"]),
-            gadget_terms=int(data["gadget_terms"]),
-        )
-
 
 @lru_cache(maxsize=32)
 def _originals(n: int) -> tuple[Original, ...]:

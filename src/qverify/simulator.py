@@ -26,7 +26,6 @@ from .cnf import CnfFormula, satisfying_mask
 
 MAX_QUBITS = 24
 _NORM_TOL = 1e-10
-_UNITARY_TOL = 1e-8
 # `_draws_nothing`: the slack on its bound, and the uniforms it reads at a time
 _SCREEN_SLACK = 2.0 ** -40
 _SCREEN_CHUNK = 1 << 13
@@ -322,54 +321,15 @@ def grover_amplitudes(signs: np.ndarray,
     return [pairs[t] for t in iterations]
 
 
-def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Statevector]:
-    """(D O)^t |s> for each t in ``iterations``, in order: each state rebuilt
-    from its `grover_amplitudes` pair, and norm-checked, when the caller
-    draws it."""
-    num_qubits = signs.size.bit_length() - 1
-    flipped = signs < 0
-    for pair in grover_amplitudes(signs, iterations):
-        yield Statevector(num_qubits, np.where(flipped, *pair))
-
-
 def grover_probabilities(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[np.ndarray]:
-    """The squared amplitudes of each `grover_states` state, spread from the
-    squares of its (marked, unmarked) pair without building the state;
-    bitwise np.abs(state.amplitudes) ** 2, as every entry is one of the two
-    amplitudes and both steps are elementwise."""
+    """The squared amplitudes of (D O)^t |s> for each t in ``iterations``, in
+    order, spread from the squares of its `grover_amplitudes` pair without
+    building the state; bitwise np.abs(state.amplitudes) ** 2, as every entry
+    is one of the two amplitudes and both steps are elementwise."""
     flipped = signs < 0
     for pair in grover_amplitudes(signs, iterations):
         marked, unmarked = np.abs(np.array(pair)) ** 2
         yield np.where(flipped, marked, unmarked)
-
-
-def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
-    """Apply a k-qubit unitary; matrix index bit i addresses qubits[i]."""
-    qubits = list(qubits)
-    k = len(qubits)
-    if len(set(qubits)) != k:
-        raise ValueError("target qubits must be distinct")
-    if any(q < 0 or q >= state.num_qubits for q in qubits):
-        raise ValueError("target qubit out of range")
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (1 << k, 1 << k):
-        raise ValueError("matrix dimension does not match the qubit count")
-    if not np.allclose(matrix @ matrix.conj().T, np.eye(1 << k), atol=_UNITARY_TOL):
-        raise ValueError("matrix is not unitary")
-    n = state.num_qubits
-    mat = matrix.reshape([2] * (2 * k))
-    tensor = state.amplitudes.reshape([2] * n)
-    col_axes = [2 * k - 1 - i for i in range(k)]
-    state_axes = [n - 1 - q for q in qubits]
-    out = np.tensordot(mat, tensor, axes=(col_axes, state_axes))
-    # tensordot leaves row-bit axes first (bit k-1 .. 0), survivors after
-    survivors = [ax for ax in range(n) if ax not in state_axes]
-    perm = [0] * n
-    for i, q in enumerate(qubits):
-        perm[n - 1 - q] = k - 1 - i
-    for rank, ax in enumerate(survivors):
-        perm[ax] = k + rank
-    return Statevector(n, np.transpose(out, perm).reshape(-1))
 
 
 def sample_probabilities(probs: np.ndarray, shots: int, seed: int,

@@ -4,7 +4,6 @@ from .filters import (
     choose_degree,
     eval_filter,
     filter_quality_log2_mu,
-    filter_quality_mu,
 )
 from .grover import grover_iterations, grover_schedule, solve_grover
 from .qsvt import BlockEncoding, build_block_encoding, solve_qsvt
@@ -13,7 +12,6 @@ from .report import (
     Sat,
     SolverReport,
     first_verified,
-    project_candidates,
 )
 from .vqa import (
     qaoa_energy_gradient,
@@ -35,10 +33,8 @@ __all__ = [
     "choose_degree",
     "eval_filter",
     "filter_quality_log2_mu",
-    "filter_quality_mu",
     "first_verified",
     "grover_iterations",
-    "project_candidates",
     "grover_schedule",
     "qaoa_energy_gradient",
     "qaoa_state",

@@ -75,12 +75,6 @@ def filter_quality_log2_mu(poly: FilterPolynomial) -> float:
     return 2.0 * float(log_0) / np.log(2.0)
 
 
-def filter_quality_mu(poly: FilterPolynomial) -> float:
-    """Suppression factor mu: squared filter values on [delta, 1] are bounded
-    by 1/mu, so filtered probability mass drops by mu."""
-    return float(2.0 ** filter_quality_log2_mu(poly))
-
-
 @lru_cache(maxsize=256)
 def choose_degree(delta: float, num_qubits: int) -> int:
     """Smallest half-degree whose mu reaches 2^num_qubits.

@@ -53,17 +53,6 @@ class SolverReport:
         return None
 
 
-def project_candidates(counts: dict[int, int], num_cnf_vars: int) -> list[tuple[int, int]]:
-    """Measurement outcomes as (original-variable assignment, count), merged
-    across auxiliary values and sorted by decreasing weight."""
-    mask = (1 << num_cnf_vars) - 1
-    merged: dict[int, int] = {}
-    for outcome, count in counts.items():
-        key = outcome & mask
-        merged[key] = merged.get(key, 0) + count
-    return sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 def first_verified(formula: CnfFormula, candidates) -> Sat | None:
     """CNF-check candidates in order; the verdict never rests on the solver's
     own arithmetic."""
@@ -77,11 +66,10 @@ def verified_sample(formula: CnfFormula, outcomes: np.ndarray,
                     counts: np.ndarray) -> Sat | None:
     """The verdict of sampled ``outcomes`` (int64) seen ``counts`` times.
 
-    As `project_candidates` and `first_verified` do it over a dict, but on
-    arrays: the outcomes are projected onto the original variables and
-    merged, ordered by decreasing count and then ascending assignment, and
-    the first that satisfies the formula is checked once more by
-    `CnfFormula.evaluate`.
+    The outcomes are projected onto the original variables and merged,
+    ordered by decreasing count and then ascending assignment, and the
+    first that satisfies the formula is checked once more by
+    `first_verified`.
     """
     keys, merged_at = np.unique(outcomes & ((1 << formula.num_variables) - 1),
                                 return_inverse=True)
@@ -89,7 +77,3 @@ def verified_sample(formula: CnfFormula, outcomes: np.ndarray,
     np.add.at(merged, merged_at, counts)
     witness = formula.first_satisfying(keys[np.lexsort((keys, -merged))])
     return None if witness is None else first_verified(formula, [witness])
-
-
-def expectation(probabilities: np.ndarray, values: np.ndarray) -> float:
-    return float(np.dot(probabilities, values))

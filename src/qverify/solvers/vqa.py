@@ -28,7 +28,6 @@ from ..simulator import apply_diagonal_phase, apply_rx_all, sample  # noqa: F401
 from .report import (
     NoSolutionFound,
     SolverReport,
-    expectation,
     verified_sample,
 )
 from .report import first_verified  # noqa: F401
@@ -125,7 +124,7 @@ def _solve(solver: str, qubo: Qubo, formula: CnfFormula, circuit,
         out = []
         for start in range(0, len(points), rows):
             probabilities = np.abs(circuit(ham, points[start:start + rows])) ** 2
-            out += [expectation(row, ham.values) for row in probabilities]
+            out += [float(np.dot(row, ham.values)) for row in probabilities]
         return out
 
     x0 = np.random.default_rng(init_seed).uniform(*x0_range, size=num_params)

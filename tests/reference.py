@@ -6,11 +6,29 @@ parser and reduction that built `Literal`/`Clause` objects and a sorted-key
 polynomial: `reference_parse_dimacs` and `reference_cnf_to_qubo` are what
 `parse_dimacs` and `cnf_to_qubo` computed before they read and wrote
 signed-int clause codes, and the property tests compare the two.
+
+The rest are forms that no program path needs: the general k-qubit
+`apply_matrix` and the per-state `grover_states`, which the kernels are
+checked against; the dict-based `project_candidates`; the clause-by-clause
+`unsatisfied_count`; `enumerate_sat`, the satisfying set read off the CNF
+without the reduction, which makes it a cross-check on the QUBO side;
+`expectation`, one state's energy as the variational solvers compute it;
+`qubo_from_json_dict`, the inverse of `Qubo.to_json_dict`; and
+`filter_quality_mu`.
 """
 from __future__ import annotations
 
-from qverify.cnf import Clause, CnfError, CnfFormula
+from collections.abc import Iterator, Sequence
+
+import numpy as np
+
+from qverify.cnf import Clause, CnfError, CnfFormula, satisfying_mask
+from qverify.oracle import DEFAULT_BUDGET, _check_budget
 from qverify.reduction import Auxiliary, Original, Qubo
+from qverify.simulator import Statevector, grover_amplitudes
+from qverify.solvers.filters import FilterPolynomial, filter_quality_log2_mu
+
+_UNITARY_TOL = 1e-8
 
 # polynomial terms: {} -> constant, {i} -> linear, {i, j} -> quadratic
 QuadPoly = dict[tuple[int, ...], int]
@@ -180,3 +198,93 @@ def reference_parse_dimacs(text: str, provenance: str = "dimacs-file") -> CnfFor
     if len(clauses) != num_clauses:
         raise CnfError(f"header declares {num_clauses} clauses, found {len(clauses)}")
     return CnfFormula(num_vars, tuple(clauses), provenance=provenance)
+
+
+def qubo_from_json_dict(data: dict) -> Qubo:
+    coeffs = {(int(i), int(j)): int(c) for i, j, c in data["entries"]}
+    var_map = []
+    for v in data["variable_map"]:
+        if v["kind"] == "original":
+            var_map.append(Original(v["variable"]))
+        else:
+            var_map.append(Auxiliary(v["clause"], v["step"]))
+    return Qubo(
+        num_vars=int(data["num_vars"]),
+        coeffs=coeffs,
+        offset=int(data["offset"]),
+        variable_map=tuple(var_map),
+        clause_terms=int(data["clause_terms"]),
+        gadget_terms=int(data["gadget_terms"]),
+    )
+
+
+def unsatisfied_count(formula: CnfFormula, assignment: int) -> int:
+    return sum(not cl.is_satisfied_by(assignment) for cl in formula.clauses)
+
+
+def enumerate_sat(formula: CnfFormula) -> list[int]:
+    """All satisfying assignments of the formula, ascending, within the
+    DEFAULT_BUDGET of variables."""
+    _check_budget(formula.num_variables, DEFAULT_BUDGET, "satisfiability enumeration")
+    mask = satisfying_mask(formula)
+    return [int(a) for a in np.nonzero(mask)[0]]
+
+
+def filter_quality_mu(poly: FilterPolynomial) -> float:
+    """Suppression factor mu: squared filter values on [delta, 1] are bounded
+    by 1/mu, so filtered probability mass drops by mu."""
+    return float(2.0 ** filter_quality_log2_mu(poly))
+
+
+def project_candidates(counts: dict[int, int], num_cnf_vars: int) -> list[tuple[int, int]]:
+    """Measurement outcomes as (original-variable assignment, count), merged
+    across auxiliary values and sorted by decreasing weight."""
+    mask = (1 << num_cnf_vars) - 1
+    merged: dict[int, int] = {}
+    for outcome, count in counts.items():
+        key = outcome & mask
+        merged[key] = merged.get(key, 0) + count
+    return sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def expectation(probabilities: np.ndarray, values: np.ndarray) -> float:
+    return float(np.dot(probabilities, values))
+
+
+def grover_states(signs: np.ndarray, iterations: Sequence[int]) -> Iterator[Statevector]:
+    """(D O)^t |s> for each t in ``iterations``, in order: each state rebuilt
+    from its `grover_amplitudes` pair, and norm-checked, when the caller
+    draws it."""
+    num_qubits = signs.size.bit_length() - 1
+    flipped = signs < 0
+    for pair in grover_amplitudes(signs, iterations):
+        yield Statevector(num_qubits, np.where(flipped, *pair))
+
+
+def apply_matrix(state: Statevector, matrix: np.ndarray, qubits) -> Statevector:
+    """Apply a k-qubit unitary; matrix index bit i addresses qubits[i]."""
+    qubits = list(qubits)
+    k = len(qubits)
+    if len(set(qubits)) != k:
+        raise ValueError("target qubits must be distinct")
+    if any(q < 0 or q >= state.num_qubits for q in qubits):
+        raise ValueError("target qubit out of range")
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.shape != (1 << k, 1 << k):
+        raise ValueError("matrix dimension does not match the qubit count")
+    if not np.allclose(matrix @ matrix.conj().T, np.eye(1 << k), atol=_UNITARY_TOL):
+        raise ValueError("matrix is not unitary")
+    n = state.num_qubits
+    mat = matrix.reshape([2] * (2 * k))
+    tensor = state.amplitudes.reshape([2] * n)
+    col_axes = [2 * k - 1 - i for i in range(k)]
+    state_axes = [n - 1 - q for q in qubits]
+    out = np.tensordot(mat, tensor, axes=(col_axes, state_axes))
+    # tensordot leaves row-bit axes first (bit k-1 .. 0), survivors after
+    survivors = [ax for ax in range(n) if ax not in state_axes]
+    perm = [0] * n
+    for i, q in enumerate(qubits):
+        perm[n - 1 - q] = k - 1 - i
+    for rank, ax in enumerate(survivors):
+        perm[ax] = k + rank
+    return Statevector(n, np.transpose(out, perm).reshape(-1))

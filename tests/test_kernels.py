@@ -15,10 +15,8 @@ from qverify.simulator import (
     _rx_matrix,
     apply_ansatz,
     apply_diagonal_phase,
-    apply_matrix,
     apply_rx_all,
     grover_diffusion,
-    grover_states,
     oracle_signs,
     phase_oracle,
     uniform_superposition,
@@ -26,6 +24,8 @@ from qverify.simulator import (
 from qverify.solvers.grover import grover_schedule
 from qverify.solvers.filters import FilterPolynomial, eval_filter
 from qverify.solvers.vqa import vqe_state
+
+from reference import apply_matrix, grover_states
 
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                  dtype=np.complex128)

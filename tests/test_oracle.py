@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qverify.cnf import CnfFormula, parse_dimacs
-from qverify.oracle import BudgetExceededError, enumerate_sat, qubo_spectrum
+from qverify.oracle import BudgetExceededError, qubo_spectrum
 from qverify.reduction import cnf_to_qubo
 
 from conftest import random_formula
+from reference import enumerate_sat
 
 
 def test_enumerate_matches_pointwise_evaluation():

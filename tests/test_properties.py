@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from qverify import cli
 from qverify.cnf import Clause, CnfError, CnfFormula, emit_dimacs, parse_dimacs
-from qverify.oracle import enumerate_sat
 from qverify.pipeline import SOLVERS
+
+from reference import enumerate_sat
 
 
 @st.composite

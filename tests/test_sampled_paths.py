@@ -22,7 +22,6 @@ from qverify.simulator import (
     DiagonalHamiltonian,
     Statevector,
     grover_probabilities,
-    grover_states,
     level_index,
     oracle_signs,
     sample,
@@ -39,14 +38,11 @@ from qverify.solvers import (
     solve_qsvt,
 )
 from qverify.solvers.qsvt import _levels, _scale_and_delta, joint_probabilities
-from qverify.solvers.report import (
-    first_verified,
-    project_candidates,
-    verified_sample,
-)
+from qverify.solvers.report import first_verified, verified_sample
 from qverify.synthetic import generate_synthetic
 
 from conftest import random_formula
+from reference import grover_states, project_candidates
 
 CATALOG = ["unique", "semi-unique", "two-solutions", "two-solutions-overlap",
            "three-solutions", "addition", "flow", "indicator", "or:n=3", "xor:n=3"]

@@ -7,7 +7,6 @@ from qverify.simulator import (
     Statevector,
     apply_ansatz,
     apply_diagonal_phase,
-    apply_matrix,
     apply_rx_all,
     grover_diffusion,
     phase_oracle,
@@ -16,6 +15,8 @@ from qverify.simulator import (
     spawn_seeds,
     uniform_superposition,
 )
+
+from reference import apply_matrix
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from qverify.optimizers import OptimizerSpec
-from qverify.oracle import enumerate_sat
 from qverify.pipeline import SOLVERS, build_problem, solve
 from qverify.solvers import Sat
 
 from conftest import random_formula
+from reference import enumerate_sat
 
 
 def _small_formula(rng):

@@ -1,13 +1,14 @@
 import pytest
 
 from qverify.cnf import CnfError
-from qverify.oracle import enumerate_sat
 from qverify.synthetic import (
     generate_synthetic,
     instance_names,
     resolve_params,
     value_bit_count,
 )
+
+from reference import enumerate_sat
 
 # every parameterization exercised below stays inside the enumeration budget
 CASES = [

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from qverify import oracle
 from qverify.cnf import Clause, CnfFormula
-from qverify.oracle import enumerate_sat, qubo_spectrum
+from qverify.oracle import qubo_spectrum
 from qverify.reduction import (
     Auxiliary,
     Original,
@@ -24,6 +24,7 @@ from qverify.reduction import (
 from qverify.synthetic import generate_synthetic
 
 from conftest import random_formula
+from reference import enumerate_sat
 
 
 @st.composite

@@ -9,7 +9,6 @@ from qverify.solvers import (
     NoSolutionFound,
     Sat,
     first_verified,
-    project_candidates,
     qaoa_energy_gradient,
     qaoa_state,
     solve_qaoa,
@@ -18,6 +17,8 @@ from qverify.solvers import (
     vqe_state,
 )
 from qverify.synthetic import generate_synthetic
+
+from reference import project_candidates
 
 
 def _hamiltonian(dimacs: str) -> tuple:
